@@ -305,11 +305,13 @@ def _cmd_moments(args) -> int:
         "prediction": result.asymptotic_prediction,
     }
     text = json.dumps(payload)
+    summary = f"exact {exact.numerator}/{exact.denominator}"
     if args.out is None:
-        print(f"exact {exact.numerator}/{exact.denominator}")
+        # stdout carries the JSON alone, so the summary goes to stderr
+        print(summary, file=sys.stderr)
         print(text)
     else:
-        print(f"exact {exact.numerator}/{exact.denominator}")
+        print(summary)
         _write_output(text, args.out)
     return 0
 

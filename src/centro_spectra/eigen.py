@@ -4,8 +4,8 @@ The dense solver delegates to LAPACK's zgeev (balancing + Hessenberg
 reduction + shifted QR with deflation) and enforces a moment-matching
 contract on every solve: the eigenvalue sums must reproduce Tr(M) and
 Tr(M^2) to within tol * n * ||M||^p.  The centrosymmetric path runs the
-block reduction first and solves the two half-size blocks, which is about
-4x cheaper and must agree with the dense path as a multiset.
+block reduction first and solves the two half-size blocks, which measured
+1.8-2.7x cheaper than the dense path and must agree with it as a multiset.
 """
 
 from __future__ import annotations

@@ -10,7 +10,10 @@ That makes mixed trace moments exactly computable in two independent ways:
 * pairing count: expand the expectation over Wick matchings between
   unconjugated and conjugated factors; each matching contributes the number
   of index assignments compatible with its equality/mirror constraints,
-  counted exactly with a parity union-find.
+  counted exactly with a parity union-find.  Every count is a power of n
+  (or zero for even n), so one pass per k yields n^k times the moment as an
+  integer polynomial in n for each parity of n; it is cached per k and any
+  n then costs one evaluation over its 2k + 1 coefficients.
 
 Both paths return exact rationals and must agree wherever both run; the
 Monte Carlo estimator cross-checks them statistically.  Values are already
@@ -21,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -108,7 +112,9 @@ def exact_mixed_trace_moment(
     method:
       "enumeration" - full tuple walk; raises BudgetExceededError when
                       n^(k+l) exceeds ENUMERATION_BUDGET;
-      "matchings"   - Wick pairing count, cost k! 3^k independent of n;
+      "matchings"   - Wick pairing count: the first call for a k walks
+                      (k-1)! 3^k constraint systems into two parity
+                      polynomials in n, cached; each n then costs O(k);
       "auto"        - enumeration when affordable, matchings otherwise.
 
     Whenever k != l some free variable must appear with unequal conjugated
@@ -116,10 +122,10 @@ def exact_mixed_trace_moment(
     is exactly zero (this covers l = 0).
     """
     _require_gaussian(dist)
-    if q.k != q.l:
-        return Fraction(0)
     if method not in ("auto", "enumeration", "matchings"):
         raise ValueError(f"unknown method {method!r}")
+    if q.k != q.l:
+        return Fraction(0)
     over_budget = q.tuple_count > ENUMERATION_BUDGET
     if method == "enumeration" and over_budget:
         raise BudgetExceededError(
@@ -186,19 +192,25 @@ def _enumeration_exact(n: int, k: int) -> Fraction:
     return Fraction(acc, n**k)
 
 
-class _ParityUnionFind:
+class _UndoableParityUnionFind:
     """Union-find over index variables with a same/mirrored parity per edge.
 
     A class whose members are forced equal to their own mirror is 'pinned':
     it admits exactly one value (the center index) when n is odd and none
-    when n is even; every other class ranges freely over n values.
+    when n is even; every other class ranges freely over n values.  Union by
+    size without path compression changes a few slots per call; a log of
+    those changes lets `undo(mark)` restore the state at `len(log) == mark`.
     """
 
     def __init__(self, size: int):
         self.parent = list(range(size))
-        self.rank = [0] * size
-        self.parity = [0] * size  # parity of the path to the parent
-        self.pinned = [False] * size
+        self.size = [1] * size
+        self.parity = [0] * size  # parity of the edge to the parent
+        self.pinned = [False] * size  # read at roots only
+        self.classes = size
+        self.pinned_classes = 0
+        # (child, root, root was pinned); child == root logs a pin
+        self.log: list[tuple[int, int, bool]] = []
 
     def find(self, x: int) -> tuple[int, int]:
         p = 0
@@ -213,70 +225,103 @@ class _ParityUnionFind:
         if rx == ry:
             if (px ^ py) != rel:
                 # u = v and u = mirror(v) together pin the whole class.
-                self.pinned[rx] = True
+                self._pin_root(rx)
             return
-        if self.rank[rx] < self.rank[ry]:
+        if self.size[rx] < self.size[ry]:
             rx, ry = ry, rx
-            px, py = py, px
+        self.log.append((ry, rx, self.pinned[rx]))
         self.parent[ry] = rx
         self.parity[ry] = px ^ py ^ rel
+        self.size[rx] += self.size[ry]
+        self.classes -= 1
         if self.pinned[ry]:
+            if self.pinned[rx]:
+                self.pinned_classes -= 1
             self.pinned[rx] = True
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
 
     def pin(self, x: int):
-        rx, _ = self.find(x)
-        self.pinned[rx] = True
+        self._pin_root(self.find(x)[0])
 
-    def count_assignments(self, n: int) -> int:
-        count = 1
-        for v in range(len(self.parent)):
-            root, _ = self.find(v)
-            if root != v:
-                continue
-            if self.pinned[root]:
-                if n % 2 == 0:
-                    return 0
+    def _pin_root(self, root: int):
+        if not self.pinned[root]:
+            self.log.append((root, root, False))
+            self.pinned[root] = True
+            self.pinned_classes += 1
+
+    def undo(self, mark: int):
+        while len(self.log) > mark:
+            child, root, was_pinned = self.log.pop()
+            if child == root:
+                self.pinned_classes -= 1
             else:
-                count *= n
-        return count
+                self.parent[child] = child
+                self.parity[child] = 0
+                self.size[root] -= self.size[child]
+                self.classes += 1
+                if was_pinned and self.pinned[child]:
+                    self.pinned_classes += 1
+            self.pinned[root] = was_pinned
 
 
-def _matching_exact(n: int, k: int) -> Fraction:
-    """Wick pairing count for E[Tr(M^k) Tr(conj(M)^k)].
+@lru_cache(maxsize=None)
+def _matching_polynomials(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Coefficients, by power of n, of n^k E[Tr(M^k) Tr(conj(M)^k)] for even and odd n.
 
     Every pairing matches factor a of the first chain with factor pi(a) of
     the second; the covariance indicator [f(A) = f(B)] expands into
     [A = B] + [A = mirror(B)] - [A = B = mirror(B)], so each pairing yields
-    3^k signed constraint systems whose integer solution counts are summed.
+    3^k signed constraint systems.  A system with c free classes has n^c
+    solutions when no class is pinned; a pinned class leaves n^c for odd n
+    and none for even n.  Each system thus adds its sign to the n^c
+    coefficient of the odd polynomial, and of the even one when unpinned.
+
+    Relabelling the second chain j_b -> j_{b+s} maps the systems of pi to
+    those of pi + s (mod k) with the same counts, and every orbit of this
+    action has k members, so only pi(0) = 0 is walked and the sums are
+    multiplied by k.  The 3^k term choices are walked depth first on one
+    undoable union-find, so systems sharing a prefix share its unions.
     """
+    uf = _UndoableParityUnionFind(2 * k)  # i_0..i_{k-1}, j_0..j_{k-1}
+    even = [0] * (2 * k + 1)
+    odd = [0] * (2 * k + 1)
+
+    def walk(perm: tuple[int, ...], a: int, sign: int):
+        if a == k:
+            free = uf.classes - uf.pinned_classes
+            odd[free] += sign
+            if not uf.pinned_classes:
+                even[free] += sign
+            return
+        b = perm[a]
+        ia, ia1 = a, (a + 1) % k
+        jb, jb1 = k + b, k + (b + 1) % k
+        for rel in (0, 1):  # [A = B], [A = mirror(B)]
+            mark = len(uf.log)
+            uf.union(ia, jb, rel)
+            uf.union(ia1, jb1, rel)
+            walk(perm, a + 1, sign)
+            if rel == 0:  # -[A = B = mirror(B)]: the same unions, both j pinned
+                uf.pin(jb)
+                uf.pin(jb1)
+                walk(perm, a + 1, -sign)
+            uf.undo(mark)
+
+    for rest in permutations(range(1, k)):
+        walk((0, *rest), 0, 1)
+    return tuple(k * c for c in even), tuple(k * c for c in odd)
+
+
+def _matching_exact(n: int, k: int) -> Fraction:
+    """Wick pairing count for E[Tr(M^k) Tr(conj(M)^k)]: the parity
+    polynomial of k, evaluated at n."""
     systems = factorial(k) * 3**k
     if systems > _MATCHING_BUDGET:
         raise BudgetExceededError(
             f"k = {k} needs {systems} constraint systems, over the budget {_MATCHING_BUDGET}"
         )
     total = 0
-    n_vars = 2 * k  # i_0..i_{k-1}, j_0..j_{k-1}
-    for perm in permutations(range(k)):
-        for terms in product((0, 1, 2), repeat=k):
-            uf = _ParityUnionFind(n_vars)
-            sign = 1
-            for a in range(k):
-                b = perm[a]
-                ia, ia1 = a, (a + 1) % k
-                jb, jb1 = k + b, k + (b + 1) % k
-                term = terms[a]
-                if term == 2:
-                    sign = -sign
-                    uf.union(ia, jb, 0)
-                    uf.union(ia1, jb1, 0)
-                    uf.pin(jb)
-                    uf.pin(jb1)
-                else:
-                    uf.union(ia, jb, term)
-                    uf.union(ia1, jb1, term)
-            total += sign * uf.count_assignments(n)
+    for coeff in reversed(_matching_polynomials(k)[n % 2]):
+        total = total * n + coeff
     return Fraction(total, n**k)
 
 

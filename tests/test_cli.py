@@ -68,6 +68,13 @@ def test_moments_exact_output(tmp_path, capsys):
     assert obj["mc"] is None
 
 
+def test_moments_stdout_is_json(capsys):
+    code, out, err = _run(["moments", "--n", "4", "--k", "1", "--l", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["exact"] == [2, 1]
+    assert "exact 2/1" in err
+
+
 def test_clt_summary_and_jsonl(tmp_path, capsys):
     out = tmp_path / "run.json"
     code, _, _ = _run(

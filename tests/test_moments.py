@@ -1,12 +1,16 @@
 from fractions import Fraction
+from itertools import permutations, product
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centro_spectra.moments import (
     ENUMERATION_BUDGET,
     BudgetExceededError,
     MomentQuery,
+    _matching_exact,
     asymptotic_prediction,
     exact_mixed_trace_moment,
     exact_single_trace_moment,
@@ -14,6 +18,80 @@ from centro_spectra.moments import (
     moment_result,
 )
 from centro_spectra.sampling import SeedStream
+
+
+class _ReferenceParityUnionFind:
+    """Plain parity union-find: one fresh instance per constraint system."""
+
+    def __init__(self, size):
+        self.parent = list(range(size))
+        self.rank = [0] * size
+        self.parity = [0] * size
+        self.pinned = [False] * size
+
+    def find(self, x):
+        p = 0
+        while self.parent[x] != x:
+            p ^= self.parity[x]
+            x = self.parent[x]
+        return x, p
+
+    def union(self, x, y, rel):
+        rx, px = self.find(x)
+        ry, py = self.find(y)
+        if rx == ry:
+            if (px ^ py) != rel:
+                self.pinned[rx] = True
+            return
+        if self.rank[rx] < self.rank[ry]:
+            rx, ry = ry, rx
+            px, py = py, px
+        self.parent[ry] = rx
+        self.parity[ry] = px ^ py ^ rel
+        if self.pinned[ry]:
+            self.pinned[rx] = True
+        if self.rank[rx] == self.rank[ry]:
+            self.rank[rx] += 1
+
+    def pin(self, x):
+        self.pinned[self.find(x)[0]] = True
+
+    def count_assignments(self, n):
+        count = 1
+        for v in range(len(self.parent)):
+            root, _ = self.find(v)
+            if root != v:
+                continue
+            if self.pinned[root]:
+                if n % 2 == 0:
+                    return 0
+            else:
+                count *= n
+        return count
+
+
+def _reference_matching_exact(n, k):
+    """The per-n Wick loop: all k! 3^k constraint systems, each solved afresh at n."""
+    total = 0
+    for perm in permutations(range(k)):
+        for terms in product((0, 1, 2), repeat=k):
+            uf = _ReferenceParityUnionFind(2 * k)
+            sign = 1
+            for a in range(k):
+                b = perm[a]
+                ia, ia1 = a, (a + 1) % k
+                jb, jb1 = k + b, k + (b + 1) % k
+                if terms[a] == 2:
+                    sign = -sign
+                    uf.union(ia, jb, 0)
+                    uf.union(ia1, jb1, 0)
+                    uf.pin(jb)
+                    uf.pin(jb1)
+                else:
+                    uf.union(ia, jb, terms[a])
+                    uf.union(ia1, jb1, terms[a])
+            total += sign * uf.count_assignments(n)
+    return Fraction(total, n**k)
 
 
 def test_exact_hand_counts():
@@ -43,12 +121,39 @@ def test_single_chain_vanishes():
 
 def test_enumeration_agrees_with_matchings():
     # two independent exact routes over the full small grid
-    for n in (2, 3, 4, 5, 8):
-        for k in (1, 2, 3):
-            q = MomentQuery(n, k, k)
-            enum = exact_mixed_trace_moment(q, method="enumeration")
-            pairs = exact_mixed_trace_moment(q, method="matchings")
-            assert enum == pairs, (n, k)
+    grid = [(n, k) for n in (1, 2, 3, 4, 5, 6, 8) for k in (1, 2, 3)]
+    grid += [(n, 4) for n in (1, 2, 3, 4, 5)]
+    for n, k in grid:
+        q = MomentQuery(n, k, k)
+        enum = exact_mixed_trace_moment(q, method="enumeration")
+        pairs = exact_mixed_trace_moment(q, method="matchings")
+        assert enum == pairs, (n, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 64), k=st.integers(1, 4))
+def test_matchings_equal_per_n_loop(n, k):
+    assert _matching_exact(n, k) == _reference_matching_exact(n, k)
+
+
+@pytest.mark.parametrize(
+    "n, k, value",
+    [
+        (10, 5, Fraction(2016, 125)),
+        (11, 5, Fraction(2445920, 161051)),
+        (10, 6, Fraction(19008, 625)),
+        (11, 6, Fraction(48485520, 1771561)),
+    ],
+)
+def test_matchings_reproduce_per_n_loop_at_large_k(n, k, value):
+    # values of the per-n loop, too slow at k = 6 to recompute in the suite
+    assert _matching_exact(n, k) == value
+
+
+def test_matchings_k1_closed_form():
+    # each diagonal entry pairs with itself and its mirror; the center only with itself
+    for n in range(1, 65):
+        assert _matching_exact(n, 1) == 2 - Fraction(n % 2, n)
 
 
 def test_diagonal_values_real_nonnegative():
@@ -110,6 +215,8 @@ def test_query_validation():
         MomentQuery(4, 1, -1)
     with pytest.raises(ValueError):
         exact_mixed_trace_moment(MomentQuery(4, 1, 1), method="montecarlo")
+    with pytest.raises(ValueError):
+        exact_mixed_trace_moment(MomentQuery(4, 1, 2), method="montecarlo")
 
 
 def test_oracle_refuses_non_gaussian_law():
