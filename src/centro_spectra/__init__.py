@@ -32,9 +32,7 @@ from .linalg import (
     PowerIterationError,
     Spectrum,
     counter_identity,
-    matmul,
     operator_norm_estimate,
-    trace_power,
 )
 from .moments import (
     BudgetExceededError,

@@ -1,8 +1,10 @@
 """Command-line front end: experiments, persistence and plot-data emission.
 
 Commands are deterministic given their flags: every randomized command takes
---seed, and --threads only changes scheduling, never results.  Exit codes:
-0 success, 1 validation failure (bad flags or values), 2 runtime error.
+--seed.  --threads is validated and recorded in the config JSON; trials run
+serially whatever its value, with BLAS supplying the parallelism.  Exit
+codes: 0 success, 1 validation failure (bad flags or values), 2 runtime
+error.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .harness import (
     run_clt_experiment,
     run_covariance_kernel_experiment,
 )
-from .linalg import counter_identity
+from .linalg import complex_from_pairs, complex_to_pairs, counter_identity
 from .moments import McEstimate, MomentQuery, moment_result
 from .reduction import block_reduce, verify_reduction
 from .sampling import (
@@ -48,10 +50,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
 
 
 def _complex_key(z: complex) -> str:
@@ -77,8 +75,8 @@ def config_to_json_dict(config: RunConfig) -> dict:
         "trials": config.trials,
         "master_seed": config.master_seed,
         "dist": config.dist.kind,
-        "poly": None if config.poly is None else [_pair(a) for a in config.poly.coeffs],
-        "contour_points": [_pair(z) for z in config.contour_points],
+        "poly": None if config.poly is None else complex_to_pairs(config.poly.coeffs),
+        "contour_points": complex_to_pairs(config.contour_points),
         "rho": config.rho,
         "tau": config.tau,
         "threads": config.threads,
@@ -92,10 +90,8 @@ def config_from_json_dict(obj: dict) -> RunConfig:
         trials=int(obj["trials"]),
         master_seed=int(obj["master_seed"]),
         dist=EntryDistribution(kind=obj.get("dist", "standard_complex_gaussian")),
-        poly=None if poly is None else TestPolynomial(
-            coeffs=tuple(complex(re, im) for re, im in poly)
-        ),
-        contour_points=tuple(complex(re, im) for re, im in obj.get("contour_points", [])),
+        poly=None if poly is None else TestPolynomial(coeffs=tuple(complex_from_pairs(poly))),
+        contour_points=tuple(complex_from_pairs(obj.get("contour_points", []))),
         rho=float(obj.get("rho", 2.2)),
         tau=float(obj.get("tau", 0.5)),
         threads=obj.get("threads"),
@@ -107,7 +103,7 @@ def _summary_dict(batch: TrialBatch) -> dict:
     summaries = None
     if s is not None:
         summaries = {
-            "mean": _pair(s.mean),
+            "mean": complex_to_pairs(s.mean),
             "variance_real": s.variance_real,
             "variance_modulus": s.variance_modulus,
             "skewness": s.skewness,
@@ -129,9 +125,9 @@ def write_trial_jsonl(batch: TrialBatch, path: str):
             record = {
                 "trial_index": r.trial_index,
                 "seed": r.stream_index,
-                "les": None if r.les is None else _pair(r.les),
+                "les": None if r.les is None else complex_to_pairs(r.les),
                 "spectral_radius": r.spectral_radius,
-                "resolvent": {_complex_key(z): _pair(v) for z, v in r.resolvent.items()},
+                "resolvent": {_complex_key(z): complex_to_pairs(v) for z, v in r.resolvent.items()},
             }
             fh.write(json.dumps(record) + "\n")
 
@@ -190,10 +186,6 @@ def _write_output(text: str, out: str | None):
             fh.write(text)
 
 
-def _matrix_entries(m: np.ndarray) -> list:
-    return [[_pair(z) for z in row] for row in m]
-
-
 # ---------------------------------------------------------------- handlers
 
 
@@ -215,8 +207,8 @@ def _cmd_reduce(args) -> int:
         "n": cm.n,
         "seed": cm.seed,
         "parity": red.parity,
-        "t1": _matrix_entries(red.t1),
-        "t2": _matrix_entries(red.t2),
+        "t1": complex_to_pairs(red.t1),
+        "t2": complex_to_pairs(red.t2),
         "residual": residual,
     }
     _write_output(json.dumps(payload), args.out)
@@ -301,7 +293,7 @@ def _cmd_moments(args) -> int:
         "exact": [exact.numerator, exact.denominator],
         "mc": None
         if mc is None
-        else {"mean": _pair(mc.mean), "se": mc.se, "trials": mc.trials},
+        else {"mean": complex_to_pairs(mc.mean), "se": mc.se, "trials": mc.trials},
         "prediction": result.asymptotic_prediction,
     }
     text = json.dumps(payload)
@@ -333,10 +325,10 @@ def _cmd_resolvent_cov(args) -> int:
         "config": config_to_json_dict(config),
         "pairs": [
             {
-                "z": _pair(p.z),
-                "eta": _pair(p.eta),
-                "empirical": _pair(p.empirical),
-                "predicted": _pair(p.predicted),
+                "z": complex_to_pairs(p.z),
+                "eta": complex_to_pairs(p.eta),
+                "empirical": complex_to_pairs(p.empirical),
+                "predicted": complex_to_pairs(p.predicted),
             }
             for p in report.pairs
         ],

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from .linalg import Spectrum, as_complex_matrix
+from .linalg import Spectrum, as_complex_matrix, complex_from_pairs, complex_to_pairs
 from .reduction import block_reduce
 from .sampling import CentrosymmetricMatrix
 
@@ -86,12 +87,13 @@ def spectral_radius(spec: Spectrum) -> float:
 
 
 def match_spectra(a: Spectrum, b: Spectrum) -> float:
-    """Largest pair distance under greedy nearest-neighbor matching.
+    """Largest pair distance in the matching of least total distance.
 
-    Both multisets are sorted by (Re, Im) first; each eigenvalue of ``a`` is
-    then matched to the nearest unused eigenvalue of ``b``.  Adequate at
-    tolerance scales far below the eigenvalue spacing, which is the regime
-    all equivalence tests run in.
+    The pairing solves the assignment problem on the full |a_i - b_j|
+    matrix (scipy's linear_sum_assignment).  A greedy nearest-neighbor pass
+    can instead spend a close eigenvalue on the wrong partner: {0, 0.5}
+    against {0.3, -0.4} gives 0.9 greedily and 0.4 here.  O(n^2) memory,
+    O(n^3) time.
     """
     va = np.asarray(a.eigenvalues, dtype=np.complex128)
     vb = np.asarray(b.eigenvalues, dtype=np.complex128)
@@ -99,17 +101,9 @@ def match_spectra(a: Spectrum, b: Spectrum) -> float:
         raise ValueError(f"multiset sizes differ: {len(va)} vs {len(vb)}")
     if len(va) == 0:
         return 0.0
-    va = va[np.lexsort((va.imag, va.real))]
-    vb = vb[np.lexsort((vb.imag, vb.real))]
-    used = np.zeros(len(vb), dtype=bool)
-    worst = 0.0
-    for z in va:
-        d = np.abs(vb - z)
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        used[j] = True
-        worst = max(worst, float(d[j]))
-    return worst
+    d = np.abs(va[:, None] - vb[None, :])
+    rows, cols = linear_sum_assignment(d)
+    return float(d[rows, cols].max())
 
 
 def spectrum_to_json(spec: Spectrum) -> str:
@@ -117,14 +111,13 @@ def spectrum_to_json(spec: Spectrum) -> str:
     return json.dumps(
         {
             "source_dim": spec.source_dim,
-            "eigenvalues": [[float(z.real), float(z.imag)] for z in spec.eigenvalues],
+            "eigenvalues": complex_to_pairs(spec.eigenvalues),
         }
     )
 
 
 def spectrum_from_json(text: str) -> Spectrum:
     obj = json.loads(text)
-    values = np.array(
-        [complex(re, im) for re, im in obj["eigenvalues"]], dtype=np.complex128
+    return Spectrum(
+        eigenvalues=complex_from_pairs(obj["eigenvalues"]), source_dim=int(obj["source_dim"])
     )
-    return Spectrum(eigenvalues=values, source_dim=int(obj["source_dim"]))

@@ -1,8 +1,11 @@
 """Monte Carlo experiments on the centrosymmetric ensemble.
 
 Three experiments share one trial engine (sample -> block eigensolver ->
-statistics), each trial on its own seed substream so runs are reproducible
-for any thread count:
+statistics), each trial on its own seed substream.  Trials run one after
+another, in index order, on the calling thread; the parallelism is BLAS's,
+inside each eigensolve.  ``RunConfig.threads`` is validated and recorded in
+the config but does not change how trials run, so results are the same for
+every value of it:
 
 * circular law: eigenvalue cloud of one (or a few) large samples against
   the uniform law on the unit disc (radial KS, angular chi-square, outlier
@@ -19,8 +22,6 @@ and counted, never silently dropped.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,8 +52,6 @@ __all__ = [
     "run_clt_experiment",
     "run_covariance_kernel_experiment",
 ]
-
-THREADS_ENV_VAR = "CENTRO_SPECTRA_THREADS"
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,11 @@ def resolvent_series_gap(matrix, spec: Spectrum, z: complex, terms: int = 8) -> 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One experiment configuration; everything needed for reproduction."""
+    """One experiment configuration; everything needed for reproduction.
+
+    ``threads`` (None or an int >= 1) is recorded with the configuration;
+    trials always run serially.
+    """
 
     n: int
     trials: int
@@ -165,8 +168,8 @@ class RunConfig:
             raise ValueError("rho must be positive")
         if self.tau < 0:
             raise ValueError("tau must be non-negative")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be >= 1 when given")
+        if self.threads is not None and (type(self.threads) is not int or self.threads < 1):
+            raise ValueError(f"threads must be None or an int >= 1, got {self.threads!r}")
         points = tuple(complex(z) for z in self.contour_points)
         object.__setattr__(self, "contour_points", points)
         for z in points:
@@ -228,21 +231,12 @@ class TrialBatch:
         )
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _run_trials(config: RunConfig, evaluate_les: bool) -> TrialBatch:
-    """Run all trials; aggregation is a deterministic fold in trial order."""
+    """Run all trials serially in index order on the calling thread."""
     contour = config.contour_points
     min_abs_z = min((abs(z) for z in contour), default=None)
-
-    def one_trial(t: int) -> TrialRecord:
+    records = []
+    for t in range(config.trials):
         stream = SeedStream(config.master_seed, t)
         try:
             cm = sample_centrosymmetric(config.n, config.dist, stream)
@@ -261,21 +255,16 @@ def _run_trials(config: RunConfig, evaluate_les: bool) -> TrialBatch:
             if evaluate_les:
                 les_value = les(spec, config.poly)
             resolvent = {z: resolvent_trace(spec, z) for z in contour}
-        return TrialRecord(
-            trial_index=t,
-            stream_index=stream.stream_index,
-            spectral_radius=radius,
-            accepted=accepted,
-            les=les_value,
-            resolvent=resolvent,
+        records.append(
+            TrialRecord(
+                trial_index=t,
+                stream_index=stream.stream_index,
+                spectral_radius=radius,
+                accepted=accepted,
+                les=les_value,
+                resolvent=resolvent,
+            )
         )
-
-    n_threads = _resolve_threads(config.threads)
-    if n_threads == 1 or config.trials == 1:
-        records = [one_trial(t) for t in range(config.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            records = list(pool.map(one_trial, range(config.trials)))
     rejections = sum(1 for r in records if not r.accepted)
     return TrialBatch(
         config=config, records=tuple(records), guard_rejections=rejections

@@ -14,10 +14,10 @@ __all__ = [
     "PowerIterationError",
     "Spectrum",
     "as_complex_matrix",
+    "complex_from_pairs",
+    "complex_to_pairs",
     "counter_identity",
-    "matmul",
     "operator_norm_estimate",
-    "trace_power",
 ]
 
 
@@ -42,6 +42,27 @@ def as_complex_matrix(a, require_square: bool = False) -> np.ndarray:
     return m
 
 
+def complex_to_pairs(values) -> list:
+    """JSON-ready [re, im] pairs, nested like the input's shape (a scalar
+    gives one pair).  Every float keeps its bits through json.dumps."""
+    if isinstance(values, complex):  # numpy complex128 scalars included
+        return [float(values.real), float(values.imag)]
+    a = np.asarray(values, dtype=np.complex128)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+def complex_from_pairs(pairs) -> np.ndarray:
+    """Inverse of complex_to_pairs, bit for bit: the float64 pairs are
+    reinterpreted as complex128, so signed zeros and infinities survive
+    (re + 1j*im would not)."""
+    a = np.asarray(pairs, dtype=np.float64)
+    if a.size == 0:
+        a = a.reshape(0, 2)
+    if a.shape[-1:] != (2,):
+        raise ValueError(f"expected [re, im] pairs, got shape {a.shape}")
+    return np.ascontiguousarray(a).view(np.complex128)[..., 0]
+
+
 def counter_identity(s: int) -> np.ndarray:
     """The s-by-s exchange matrix J: ones on the anti-diagonal.
 
@@ -50,28 +71,6 @@ def counter_identity(s: int) -> np.ndarray:
     if s < 1:
         raise ValueError(f"size must be >= 1, got {s}")
     return np.fliplr(np.eye(s, dtype=np.complex128))
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def trace_power(m, k: int) -> complex:
-    """Tr(M^k) by repeated multiplication; k=1 is the exact diagonal sum."""
-    m = as_complex_matrix(m, require_square=True)
-    if k < 1:
-        raise ValueError(f"power must be >= 1, got {k}")
-    if k == 1:
-        return complex(np.trace(m))
-    p = m
-    for _ in range(k - 1):
-        p = p @ m
-    return complex(np.trace(p))
 
 
 def operator_norm_estimate(m, tol: float = 1e-6, max_iterations: int | None = None) -> float:

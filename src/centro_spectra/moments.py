@@ -30,7 +30,7 @@ from math import factorial
 
 import numpy as np
 
-from .sampling import STANDARD_COMPLEX_GAUSSIAN, EntryDistribution, SeedStream, _free_position_mask
+from .sampling import STANDARD_COMPLEX_GAUSSIAN, EntryDistribution, SeedStream, _sample_batch
 
 __all__ = [
     "ENUMERATION_BUDGET",
@@ -325,19 +325,6 @@ def _matching_exact(n: int, k: int) -> Fraction:
     return Fraction(total, n**k)
 
 
-def _sample_batch(n: int, dist: EntryDistribution, stream: SeedStream, count: int) -> np.ndarray:
-    """Draw ``count`` matrices from one substream as a (count, n, n) stack."""
-    rng = stream.generator()
-    n_free = (n * n + 1) // 2
-    raw = dist.draw(count * n_free, rng).reshape(count, n_free)
-    mask = _free_position_mask(n)
-    flat = np.flatnonzero(mask.ravel())
-    x = np.zeros((count, n * n), dtype=np.complex128)
-    x[:, flat] = raw
-    x = x.reshape(count, n, n)
-    return np.where(mask[None, :, :], x, np.flip(x, (1, 2))) / np.sqrt(n)
-
-
 def mc_trace_moment(
     q: MomentQuery,
     trials: int,
@@ -358,9 +345,7 @@ def mc_trace_moment(
     chunk_index = 0
     while done < trials:
         count = min(_MC_CHUNK, trials - done)
-        batch = _sample_batch(
-            q.n, dist, stream.child(chunk_index), count
-        )
+        batch = _sample_batch(q.n, dist, stream.child(chunk_index), count)
         traces = np.empty((kmax, count), dtype=np.complex128)
         power = batch
         traces[0] = np.einsum("tii->t", power)

@@ -15,6 +15,10 @@ Note the block columns of Q used here are ((v, Jv)) and ((-v, Jv)): this is
 the pairing that makes Q^T M Q exactly equal to diag(A+JC, A-JC).  The
 frequently quoted variant [[I, -J], [J, I]] is orthogonal too but produces
 J (A - JC) J in the lower block (same spectrum, different entries).
+
+Q itself is built for verification only: block_reduce reads the blocks
+straight off the quadrants, and verify_reduction forms Q^T M Q as the
+independent check.
 """
 
 from __future__ import annotations
@@ -33,19 +37,23 @@ _SQRT_HALF = np.sqrt(0.5)
 
 @dataclass(frozen=True)
 class BlockReduction:
-    """Blocks T1, T2 and the orthogonal Q with Q^T M Q = diag(T1, T2).
+    """Blocks T1, T2 with Q^T M Q = diag(T1, T2) for the orthogonal Q of n.
 
     T1 is ceil(n/2) square, T2 is floor(n/2) square.
     """
 
     t1: np.ndarray
     t2: np.ndarray
-    q: np.ndarray
     parity: str  # "even" | "odd"
 
     @property
     def n(self) -> int:
         return self.t1.shape[0] + self.t2.shape[0]
+
+    @property
+    def q(self) -> np.ndarray:
+        """The dense n-by-n Q, built anew on each access."""
+        return build_orthogonal_q(self.n)
 
 
 def build_orthogonal_q(n: int) -> np.ndarray:
@@ -70,8 +78,9 @@ def build_orthogonal_q(n: int) -> np.ndarray:
 def block_reduce(cm: CentrosymmetricMatrix) -> BlockReduction:
     """Split a centrosymmetric matrix into its two spectral blocks.
 
-    The blocks are computed directly from the quadrants in O(n^2); forming
-    Q^T M Q explicitly is left to verify_reduction as the independent check.
+    The blocks are computed directly from the quadrants in O(n^2), without
+    building Q; forming Q^T M Q explicitly is left to verify_reduction as the
+    independent check.
     """
     m = cm.matrix
     n = cm.n
@@ -94,7 +103,7 @@ def block_reduce(cm: CentrosymmetricMatrix) -> BlockReduction:
         t1 = np.block([[a + jc, np.sqrt(2.0) * x], [np.sqrt(2.0) * y, center]])
         t2 = a - jc
         parity = "odd"
-    return BlockReduction(t1=t1, t2=t2, q=build_orthogonal_q(n), parity=parity)
+    return BlockReduction(t1=t1, t2=t2, parity=parity)
 
 
 def verify_reduction(cm: CentrosymmetricMatrix, red: BlockReduction) -> float:
@@ -107,12 +116,13 @@ def verify_reduction(cm: CentrosymmetricMatrix, red: BlockReduction) -> float:
     m = as_complex_matrix(cm.matrix, require_square=True)
     n = m.shape[0]
     s1 = red.t1.shape[0]
-    if s1 + red.t2.shape[0] != n or red.q.shape != (n, n):
+    if s1 + red.t2.shape[0] != n:
         raise ValueError("reduction shapes are inconsistent with the matrix")
-    similar = red.q.T @ m @ red.q
+    q = build_orthogonal_q(n)
+    similar = q.T @ m @ q
     block_diag = np.zeros_like(similar)
     block_diag[:s1, :s1] = red.t1
     block_diag[s1:, s1:] = red.t2
     residual = float(np.abs(similar - block_diag).max())
-    orthogonality = float(np.abs(red.q.T @ red.q - np.eye(n)).max())
+    orthogonality = float(np.abs(q.T @ q - np.eye(n)).max())
     return max(residual, orthogonality)

@@ -7,8 +7,8 @@ standard circular complex Gaussian and the whole matrix is scaled by
 1/sqrt(n), so every entry has mean zero and variance 1/n.
 
 Randomness is counter-based (Philox keyed by (master_seed, stream_index)),
-so distinct trials get independent substreams and any parallel schedule
-reproduces the sequential results bit for bit.
+so distinct trials get independent substreams and a draw depends on its
+(master_seed, stream_index) pair alone, not on what was drawn before it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_complex_matrix
+from .linalg import as_complex_matrix, complex_from_pairs, complex_to_pairs
 
 __all__ = [
     "CentrosymmetricMatrix",
@@ -46,7 +46,6 @@ class EntryDistribution:
     """
 
     kind: str = "standard_complex_gaussian"
-    descriptor: str = "Re, Im independent N(0, 1/2)"
 
     def __post_init__(self):
         if self.kind != "standard_complex_gaussian":
@@ -64,8 +63,8 @@ STANDARD_COMPLEX_GAUSSIAN = EntryDistribution()
 class SeedStream:
     """One substream of a counter-based RNG family.
 
-    Same (master_seed, stream_index) reproduces the same draws on any thread
-    schedule; distinct stream indices give statistically independent streams.
+    Same (master_seed, stream_index) reproduces the same draws; distinct
+    stream indices give statistically independent streams.
     """
 
     master_seed: int
@@ -115,30 +114,34 @@ def _free_position_mask(n: int) -> np.ndarray:
     return (i < mi) | ((i == mi) & (j <= mj))
 
 
+def _sample_batch(n: int, dist: EntryDistribution, stream: SeedStream, count: int) -> np.ndarray:
+    """Draw ``count`` matrices from one substream as a (count, n, n) stack.
+
+    Exactly ceil(n^2/2) raw entries are drawn per matrix, filled row-major
+    over the free positions, mirrored bit-identically to (n+1-i, n+1-j), and
+    scaled by 1/sqrt(n).  For odd n the center entry is its own mirror and is
+    drawn once.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    n_free = (n * n + 1) // 2
+    raw = dist.draw(count * n_free, stream.generator()).reshape(count, n_free)
+    mask = _free_position_mask(n)
+    x = np.zeros((count, n * n), dtype=np.complex128)
+    x[:, np.flatnonzero(mask.ravel())] = raw
+    x = x.reshape(count, n, n)
+    # Mirror copies reuse the very same float bits, so the symmetry holds
+    # exactly, not just to rounding.
+    return np.where(mask, x, np.flip(x, (1, 2))) / np.sqrt(n)
+
+
 def sample_centrosymmetric(
     n: int,
     dist: EntryDistribution = STANDARD_COMPLEX_GAUSSIAN,
     stream: SeedStream = SeedStream(0, 0),
 ) -> CentrosymmetricMatrix:
-    """Draw one n-by-n random centrosymmetric matrix.
-
-    Exactly ceil(n^2/2) raw entries are drawn, filled row-major over the
-    free positions, mirrored bit-identically to (n+1-i, n+1-j), and scaled
-    by 1/sqrt(n).  For odd n the center entry is its own mirror and is
-    drawn once.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng = stream.generator()
-    n_free = (n * n + 1) // 2
-    raw = dist.draw(n_free, rng)
-
-    mask = _free_position_mask(n)
-    x = np.zeros((n, n), dtype=np.complex128)
-    x.ravel()[np.flatnonzero(mask.ravel())] = raw
-    # Mirror copies reuse the very same float bits, so the symmetry holds
-    # exactly, not just to rounding.
-    m = np.where(mask, x, np.flip(x, (0, 1))) / np.sqrt(n)
+    """Draw one n-by-n random centrosymmetric matrix: the count=1 batch."""
+    m = _sample_batch(n, dist, stream, 1)[0]
     return CentrosymmetricMatrix(
         matrix=m, n=n, seed=stream.master_seed, stream_index=stream.stream_index, dist=dist
     )
@@ -205,7 +208,7 @@ def moment_self_test(
 
 def matrix_to_json(cm: CentrosymmetricMatrix) -> str:
     """Dump format: {n, seed, dist, entries: [[re, im], ...] row-major}."""
-    entries = [[float(z.real), float(z.imag)] for z in cm.matrix.ravel()]
+    entries = complex_to_pairs(cm.matrix.ravel())
     return json.dumps(
         {"n": cm.n, "seed": cm.seed, "dist": cm.dist.kind, "entries": entries}
     )
@@ -214,11 +217,8 @@ def matrix_to_json(cm: CentrosymmetricMatrix) -> str:
 def matrix_from_json(text: str) -> CentrosymmetricMatrix:
     obj = json.loads(text)
     n = int(obj["n"])
-    entries = np.array(
-        [complex(re, im) for re, im in obj["entries"]], dtype=np.complex128
-    ).reshape(n, n)
     return CentrosymmetricMatrix(
-        matrix=entries,
+        matrix=complex_from_pairs(obj["entries"]).reshape(n, n),
         n=n,
         seed=int(obj["seed"]),
         stream_index=0,

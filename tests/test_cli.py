@@ -182,10 +182,14 @@ def test_config_json_round_trip_reproduces_results():
         n=24, trials=12, master_seed=5, poly=TestPolynomial(coeffs=(0.5, 1.0)),
         contour_points=(2.5 + 0j,), rho=2.2, tau=0.5, threads=2,
     )
-    loaded = config_from_json_dict(json.loads(json.dumps(config_to_json_dict(config))))
+    obj = json.loads(json.dumps(config_to_json_dict(config)))
+    loaded = config_from_json_dict(obj)
+    assert loaded == config
     a = run_clt_experiment(config).les_values
     b = run_clt_experiment(loaded).les_values
     assert np.array_equal(a, b)
+    with pytest.raises(ValueError):
+        config_from_json_dict({**obj, "threads": "2"})
 
 
 def test_self_test_quick(capsys):

@@ -123,6 +123,14 @@ def test_match_spectra_mismatched_sizes():
         match_spectra(a, b)
 
 
+def test_match_spectra_pairs_by_least_total_distance():
+    # greedy nearest-neighbor pairs 0 with 0.3 and leaves 0.5 to -0.4 (0.9)
+    a = Spectrum(eigenvalues=np.array([0.0, 0.5]), source_dim=2)
+    b = Spectrum(eigenvalues=np.array([0.3, -0.4]), source_dim=2)
+    assert match_spectra(a, b) == pytest.approx(0.4)
+    assert match_spectra(b, a) == pytest.approx(0.4)
+
+
 def test_spectrum_json_round_trip():
     spec = eigenvalues_dense(np.diag([1.0, -2.0j]))
     loaded = spectrum_from_json(spectrum_to_json(spec))

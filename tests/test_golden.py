@@ -1,0 +1,102 @@
+"""Golden outputs: a fixed CLI command set must write byte-identical files.
+
+The commands run in one child process with BLAS pinned to one thread,
+because OpenBLAS's blocking (and so the last bits of an eigensolve) depends
+on its thread count.  The SHA-256 table below was recorded with the numpy
+and BLAS builds named next to it; on any other build the last bits may
+differ, so the test skips there instead of failing.
+
+The output files are the program's behaviour: a refactor leaves every hash
+unchanged, and only a deliberate change of an output re-records the table.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+RECORDED_NUMPY = "2.4.6"
+RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
+
+COMMANDS = (
+    ["sample", "--n", "9", "--seed", "11", "--stream", "3", "--out", "sample.json"],
+    ["reduce", "--n", "9", "--seed", "11", "--out", "reduce.json"],
+    ["spectrum", "--n", "64", "--seed", "12", "--method", "blocks", "--out", "spectrum_blocks.json"],
+    ["spectrum", "--n", "64", "--seed", "12", "--method", "dense", "--out", "spectrum_dense.json"],
+    ["clt", "--n", "64", "--trials", "40", "--seed", "13", "--poly", "0,0,2,1",
+     "--threads", "2", "--out", "clt.json"],
+    ["clt", "--n", "64", "--trials", "40", "--seed", "13", "--poly", "0,0,2,1",
+     "--format", "csv", "--out", "clt.csv"],
+    ["resolvent-cov", "--n", "64", "--trials", "30", "--seed", "14",
+     "--contour", "1.7,0;0,1.7;-2,0.5", "--out", "cov.json"],
+    ["moments", "--n", "5", "--k", "3", "--l", "3", "--out", "moments_exact.json"],
+    ["moments", "--n", "6", "--k", "2", "--l", "2", "--mc-trials", "2000", "--seed", "15",
+     "--out", "moments_mc.json"],
+    ["circular-law", "--n", "200", "--seed", "16", "--out", "circ.json"],
+    ["circular-law", "--n", "200", "--seed", "16", "--format", "csv", "--out", "circ.csv"],
+)
+
+GOLDEN = {
+    "circ.csv": "d7121043fe18cfd3db18dcb6775fc5ead7c196e23b3690340f704721dcc87d42",
+    "circ.json": "f6364f1fb6a10cf98183a004931710632dbda18d6a804cfce0bd369c207d3537",
+    "clt.csv": "9603338c64273828116fdba4945e072188f1dab400f9faad524e376d14854a8d",
+    "clt.json": "34ec37d368a12507b954384440083320f7a7bc7de4d0421191700b392786f2dd",
+    "clt.jsonl": "2ddd415630d47357f4fbb7470e88b88a6db82f61b8100c439f0f265184590296",
+    "cov.json": "c7d0b79893d730ff53841ef8f48206a8ea5b6cd9e474b3670737da5f1c267323",
+    "cov.jsonl": "dfb8ecac4dc8b45474af2ce9ec90a525f9816f96d3cfb4b1c1cf28caf6c1a1a3",
+    "moments_exact.json": "cd8c1a52c363af8314663a8fd99afe94e88f4dc72be5fc53c8850a84cd6af93b",
+    "moments_mc.json": "a6cb802ab0fe147a71d15f95fd58e405ec6fa3b4c3038059cfb853dae69eb4c9",
+    "reduce.json": "b57828cb590869cfa068366ea9b109b189e29b4fe99928d9b624f9de96c8d336",
+    "sample.json": "f9679648100821df490233ed32c2ef638996eee3041ff24a36497925411e1c22",
+    "spectrum_blocks.json": "f8fd3941b732113fd3e9937eb3d16073a4992df00b99f0bb8bdf18bcc2754f34",
+    "spectrum_dense.json": "83ebb0a1eb9b34161878717bfa7e5be0803be1bf6f25d7aab66d0da980abc636",
+}
+
+_RUNNER = """
+import contextlib, io, json, sys
+from centro_spectra.cli import parse_and_dispatch
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(parse_and_dispatch(argv))
+print(json.dumps(codes))
+"""
+
+
+def _blas() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+def run_golden_commands(workdir: Path) -> dict:
+    """Run COMMANDS in one child process; SHA-256 of every file written."""
+    commands = [[*argv[:-1], str(workdir / argv[-1])] for argv in COMMANDS]  # --out last
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUNNER, json.dumps(commands)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout) == [0] * len(COMMANDS), done.stderr
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(workdir.iterdir())
+    }
+
+
+def test_golden_outputs_are_byte_identical(tmp_path):
+    if (np.__version__, _blas()) != (RECORDED_NUMPY, RECORDED_BLAS):
+        pytest.skip(
+            f"golden hashes were recorded with numpy {RECORDED_NUMPY} and {RECORDED_BLAS}, "
+            f"this is numpy {np.__version__} with {_blas()}"
+        )
+    assert run_golden_commands(tmp_path) == GOLDEN

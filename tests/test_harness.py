@@ -114,6 +114,9 @@ def test_run_config_validation():
         RunConfig(n=4, trials=10, master_seed=0, contour_points=(1.0,))  # |z| <= 1.2
     with pytest.raises(ValueError):
         RunConfig(n=4, trials=10, master_seed=0, rho=-1.0)
+    for threads in (0, "2", 2.0, True):
+        with pytest.raises(ValueError):
+            RunConfig(n=4, trials=10, master_seed=0, threads=threads)
 
 
 def test_clt_requires_poly_and_enough_trials():
@@ -157,16 +160,6 @@ def test_thread_count_does_not_change_results():
             base = values
         else:
             assert np.array_equal(base, values)
-
-
-def test_threads_env_var_override(monkeypatch):
-    from centro_spectra.harness import THREADS_ENV_VAR, _resolve_threads
-
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    assert _resolve_threads(None) == 3
-    assert _resolve_threads(5) == 5  # explicit argument wins
-    monkeypatch.delenv(THREADS_ENV_VAR)
-    assert _resolve_threads(None) >= 1
 
 
 def test_radial_ks_on_synthetic_disc():

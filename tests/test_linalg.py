@@ -1,15 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
+from centro_spectra.eigen import spectrum_from_json, spectrum_to_json
 from centro_spectra.linalg import (
     PowerIterationError,
     Spectrum,
+    as_complex_matrix,
+    complex_from_pairs,
+    complex_to_pairs,
     counter_identity,
-    matmul,
     operator_norm_estimate,
-    trace_power,
 )
-from centro_spectra.reduction import build_orthogonal_q
+from centro_spectra.sampling import (
+    STANDARD_COMPLEX_GAUSSIAN,
+    CentrosymmetricMatrix,
+    matrix_from_json,
+    matrix_to_json,
+)
 
 
 def test_counter_identity_small_cases():
@@ -34,53 +43,12 @@ def test_counter_identity_rejects_nonpositive():
         counter_identity(0)
 
 
-def test_matmul_identity_and_involution():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.abs(matmul(np.eye(4), m) - m).max() == 0.0
-    j = counter_identity(4)
-    assert np.abs(matmul(j, j) - np.eye(4)).max() == 0.0
-
-
-def test_matmul_orthogonal_q_n6():
-    q = build_orthogonal_q(6)
-    assert np.abs(matmul(q.T, q) - np.eye(6)).max() <= 1e-12
-
-
-def test_matmul_dimension_mismatch():
+def test_as_complex_matrix_rejects_nonfinite():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError):
+            as_complex_matrix(np.array([[bad, 0], [0, 1]]))
     with pytest.raises(ValueError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_matmul_rejects_nonfinite():
-    bad = np.array([[np.nan, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        matmul(bad, np.eye(2))
-
-
-def test_trace_power_identity_and_j():
-    assert trace_power(np.eye(3), 5) == pytest.approx(3.0)
-    assert trace_power(counter_identity(2), 2) == pytest.approx(2.0)
-
-
-def test_trace_power_k1_exact_diagonal_sum():
-    rng = np.random.default_rng(11)
-    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    assert trace_power(m, 1) == complex(np.trace(m))
-
-
-def test_trace_power_matches_eigenvalue_powers():
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    lam = np.linalg.eigvals(m)
-    assert trace_power(m, 3) == pytest.approx(complex((lam**3).sum()), abs=1e-8)
-
-
-def test_trace_power_rejects_nonsquare_and_bad_power():
-    with pytest.raises(ValueError):
-        trace_power(np.zeros((2, 3)), 1)
-    with pytest.raises(ValueError):
-        trace_power(np.eye(2), 0)
+        as_complex_matrix(np.zeros((2, 3)), require_square=True)
 
 
 def test_operator_norm_trivial_cases():
@@ -117,3 +85,33 @@ def test_spectrum_validation():
         Spectrum(eigenvalues=np.array([1.0]), source_dim=2)
     with pytest.raises(ValueError):
         Spectrum(eigenvalues=np.array([np.nan + 0j]), source_dim=1)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.complex128).view(np.uint64)
+
+
+TINY = 5e-324  # the smallest subnormal
+
+
+def test_complex_pairs_keep_every_bit():
+    values = np.array([complex(-0.0, TINY), complex(np.inf, -0.0), complex(-TINY, -np.inf)])
+    assert np.array_equal(_bits(complex_from_pairs(complex_to_pairs(values))), _bits(values))
+    matrix = np.repeat(values.reshape(3, 1), 2, axis=1)
+    assert complex_to_pairs(matrix)[2][1] == [-TINY, -np.inf]
+    assert complex_to_pairs(complex(-0.0, 1.5)) == [-0.0, 1.5]
+    assert complex_from_pairs([]).shape == (0,)
+    with pytest.raises(ValueError):
+        complex_from_pairs([[1.0, 2.0, 3.0]])
+
+
+def test_json_dumps_keep_signed_zero_and_subnormal():
+    a, b, c = complex(-0.0, TINY), complex(-TINY, -0.0), complex(0.0, -0.0)
+    m = np.array([[a, b, c], [TINY, -0.0, TINY], [c, b, a]])
+    cm = CentrosymmetricMatrix(m, n=3, seed=0, stream_index=0, dist=STANDARD_COMPLEX_GAUSSIAN)
+    loaded = matrix_from_json(matrix_to_json(cm))
+    assert np.array_equal(_bits(loaded.matrix), _bits(m))
+    spec = Spectrum(eigenvalues=np.array([a, b, c, -TINY]), source_dim=4)
+    text = spectrum_to_json(spec)
+    assert json.loads(text)["eigenvalues"][0] == [-0.0, TINY] and "[-0.0, 5e-324]" in text
+    assert np.array_equal(_bits(spectrum_from_json(text).eigenvalues), _bits(spec.eigenvalues))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centro_spectra.eigen import eigenvalues_centrosymmetric, eigenvalues_dense, match_spectra
 from centro_spectra.linalg import operator_norm_estimate
@@ -73,19 +75,28 @@ def test_block_sizes_sum_to_n():
         assert red.parity == ("even" if n % 2 == 0 else "odd")
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), stream=st.integers(0, 2**32))
+def test_reduction_residual_property(n, stream):
+    cm = sample_centrosymmetric(n, stream=SeedStream(17, stream))
+    red = block_reduce(cm)
+    assert verify_reduction(cm, red) <= 1e-12
+    assert np.abs(red.q.T @ red.q - np.eye(n)).max() <= 1e-12
+
+
 def test_verify_reduction_flags_corruption():
     cm = sample_centrosymmetric(6, stream=SeedStream(5, 1))
     red = block_reduce(cm)
     t1 = red.t1.copy()
     t1[0, 0] += 1.0
-    corrupted = BlockReduction(t1=t1, t2=red.t2, q=red.q, parity=red.parity)
+    corrupted = BlockReduction(t1=t1, t2=red.t2, parity=red.parity)
     assert verify_reduction(cm, corrupted) >= 0.4
 
 
 def test_verify_reduction_shape_mismatch():
     cm = sample_centrosymmetric(6, stream=SeedStream(5, 2))
     red = block_reduce(cm)
-    bad = BlockReduction(t1=red.t1[:2, :2], t2=red.t2, q=red.q, parity=red.parity)
+    bad = BlockReduction(t1=red.t1[:2, :2], t2=red.t2, parity=red.parity)
     with pytest.raises(ValueError):
         verify_reduction(cm, bad)
 
