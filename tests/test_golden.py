@@ -41,6 +41,9 @@ COMMANDS = (
      "--out", "moments_mc.json"],
     ["circular-law", "--n", "200", "--seed", "16", "--out", "circ.json"],
     ["circular-law", "--n", "200", "--seed", "16", "--format", "csv", "--out", "circ.csv"],
+    ["spectrum", "--n", "63", "--seed", "17", "--method", "blocks", "--out", "spectrum_odd.json"],
+    ["clt", "--n", "63", "--trials", "20", "--seed", "18", "--poly", "0,0,2,1",
+     "--out", "clt_odd.json"],
 )
 
 GOLDEN = {
@@ -49,6 +52,8 @@ GOLDEN = {
     "clt.csv": "9603338c64273828116fdba4945e072188f1dab400f9faad524e376d14854a8d",
     "clt.json": "34ec37d368a12507b954384440083320f7a7bc7de4d0421191700b392786f2dd",
     "clt.jsonl": "2ddd415630d47357f4fbb7470e88b88a6db82f61b8100c439f0f265184590296",
+    "clt_odd.json": "a53ace23c2abbc7d0fa6086fcc73eb6bc651c70a5da7787c89e5811fbefe5e4e",
+    "clt_odd.jsonl": "4e287db935de010d124fc2296ed6351deff77f7df69d47af60ee88cb49a89f75",
     "cov.json": "c7d0b79893d730ff53841ef8f48206a8ea5b6cd9e474b3670737da5f1c267323",
     "cov.jsonl": "dfb8ecac4dc8b45474af2ce9ec90a525f9816f96d3cfb4b1c1cf28caf6c1a1a3",
     "moments_exact.json": "cd8c1a52c363af8314663a8fd99afe94e88f4dc72be5fc53c8850a84cd6af93b",
@@ -57,6 +62,7 @@ GOLDEN = {
     "sample.json": "f9679648100821df490233ed32c2ef638996eee3041ff24a36497925411e1c22",
     "spectrum_blocks.json": "f8fd3941b732113fd3e9937eb3d16073a4992df00b99f0bb8bdf18bcc2754f34",
     "spectrum_dense.json": "83ebb0a1eb9b34161878717bfa7e5be0803be1bf6f25d7aab66d0da980abc636",
+    "spectrum_odd.json": "645ce9ff8a2529bdfd59ae701eb413177f8dd490f696f8ba6cca39bbde83274f",
 }
 
 _RUNNER = """
