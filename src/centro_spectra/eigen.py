@@ -15,7 +15,7 @@ import json
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .linalg import Spectrum, as_complex_matrix, complex_from_pairs, complex_to_pairs
+from .linalg import Spectrum, as_complex_matrix, complex_to_pairs
 from .reduction import block_reduce
 from .sampling import CentrosymmetricMatrix
 
@@ -25,7 +25,6 @@ __all__ = [
     "eigenvalues_dense",
     "match_spectra",
     "spectral_radius",
-    "spectrum_from_json",
     "spectrum_to_json",
 ]
 
@@ -69,7 +68,7 @@ def eigenvalues_dense(m, tol: float = 1e-8) -> Spectrum:
 def eigenvalues_centrosymmetric(cm: CentrosymmetricMatrix, tol: float = 1e-8) -> Spectrum:
     """Eigenvalues of M as the union of the spectra of T1 and T2."""
     if cm.n == 1:
-        return Spectrum(eigenvalues=cm.matrix.ravel().copy(), source_dim=1)
+        return Spectrum(eigenvalues=cm.half.ravel().copy(), source_dim=1)
     red = block_reduce(cm)
     lam1 = eigenvalues_dense(red.t1, tol=tol)
     lam2 = eigenvalues_dense(red.t2, tol=tol)
@@ -115,9 +114,3 @@ def spectrum_to_json(spec: Spectrum) -> str:
         }
     )
 
-
-def spectrum_from_json(text: str) -> Spectrum:
-    obj = json.loads(text)
-    return Spectrum(
-        eigenvalues=complex_from_pairs(obj["eigenvalues"]), source_dim=int(obj["source_dim"])
-    )

@@ -30,7 +30,7 @@ from math import factorial
 
 import numpy as np
 
-from .sampling import STANDARD_COMPLEX_GAUSSIAN, EntryDistribution, SeedStream, _sample_batch
+from .sampling import STANDARD_COMPLEX_GAUSSIAN, EntryDistribution, SeedStream, _sample_batch, _unfold
 
 __all__ = [
     "ENUMERATION_BUDGET",
@@ -93,20 +93,7 @@ def asymptotic_prediction(k: int, l: int) -> float:
     return 2.0 * k if k == l else 0.0
 
 
-def _require_gaussian(dist: EntryDistribution):
-    # The p! moment rule is specific to the circular Gaussian; exactness
-    # would silently break for any other law.
-    if dist.kind != "standard_complex_gaussian":
-        raise ValueError(
-            f"exact oracle supports only the circular Gaussian law, got {dist.kind!r}"
-        )
-
-
-def exact_mixed_trace_moment(
-    q: MomentQuery,
-    method: str = "auto",
-    dist: EntryDistribution = STANDARD_COMPLEX_GAUSSIAN,
-) -> Fraction:
+def exact_mixed_trace_moment(q: MomentQuery, method: str = "auto") -> Fraction:
     """Exact E[Tr(M^k) Tr(conj(M)^l)] as a rational number.
 
     method:
@@ -119,9 +106,9 @@ def exact_mixed_trace_moment(
 
     Whenever k != l some free variable must appear with unequal conjugated
     and unconjugated multiplicity, so every monomial vanishes and the result
-    is exactly zero (this covers l = 0).
+    is exactly zero (this covers l = 0).  The moment rule is that of the
+    circular Gaussian, the one law EntryDistribution admits.
     """
-    _require_gaussian(dist)
     if method not in ("auto", "enumeration", "matchings"):
         raise ValueError(f"unknown method {method!r}")
     if q.k != q.l:
@@ -345,7 +332,7 @@ def mc_trace_moment(
     chunk_index = 0
     while done < trials:
         count = min(_MC_CHUNK, trials - done)
-        batch = _sample_batch(q.n, dist, stream.child(chunk_index), count)
+        batch = _unfold(_sample_batch(q.n, dist, stream.child(chunk_index), count))
         traces = np.empty((kmax, count), dtype=np.complex128)
         power = batch
         traces[0] = np.einsum("tii->t", power)

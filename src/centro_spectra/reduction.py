@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_matrix, counter_identity
+from .linalg import counter_identity
 from .sampling import CentrosymmetricMatrix, is_centrosymmetric
 
 __all__ = ["BlockReduction", "block_reduce", "build_orthogonal_q", "verify_reduction"]
@@ -78,32 +78,24 @@ def build_orthogonal_q(n: int) -> np.ndarray:
 def block_reduce(cm: CentrosymmetricMatrix) -> BlockReduction:
     """Split a centrosymmetric matrix into its two spectral blocks.
 
-    The blocks are computed directly from the quadrants in O(n^2), without
-    building Q; forming Q^T M Q explicitly is left to verify_reduction as the
-    independent check.
+    The blocks are read straight off the stored top half [A | x | B] in
+    O(n^2), using J C = B J, without unfolding M or building Q; forming
+    Q^T M Q explicitly is left to verify_reduction as the independent check.
     """
-    m = cm.matrix
     n = cm.n
     if n < 2:
         raise ValueError("block reduction needs n >= 2")
-    if not is_centrosymmetric(m, tol=0.0):
-        raise ValueError("input matrix is not exactly centrosymmetric")
     s = n // 2
-    a = m[:s, :s]
+    h = cm.half
+    a = h[:s, :s]
+    bj = h[:s, n - s :][:, ::-1]  # B J reverses the columns of B
     if n % 2 == 0:
-        jc = np.flipud(m[s:, :s])  # J @ C reverses the rows of C
-        t1 = a + jc
-        t2 = a - jc
-        parity = "even"
-    else:
-        jc = np.flipud(m[s + 1 :, :s])
-        x = m[:s, s : s + 1]
-        y = m[s : s + 1, :s]
-        center = np.array([[m[s, s]]], dtype=np.complex128)
-        t1 = np.block([[a + jc, np.sqrt(2.0) * x], [np.sqrt(2.0) * y, center]])
-        t2 = a - jc
-        parity = "odd"
-    return BlockReduction(t1=t1, t2=t2, parity=parity)
+        return BlockReduction(t1=a + bj, t2=a - bj, parity="even")
+    x = h[:s, s : s + 1]
+    y = h[s:, :s]
+    center = h[s:, s : s + 1]
+    t1 = np.block([[a + bj, np.sqrt(2.0) * x], [np.sqrt(2.0) * y, center]])
+    return BlockReduction(t1=t1, t2=a - bj, parity="odd")
 
 
 def verify_reduction(cm: CentrosymmetricMatrix, red: BlockReduction) -> float:
@@ -111,9 +103,12 @@ def verify_reduction(cm: CentrosymmetricMatrix, red: BlockReduction) -> float:
 
     Also checks Q^T Q - I; the returned value is the larger of the two
     max-modulus residuals, so anything above ~1e-12 signals a broken
-    reduction.
+    reduction.  Raises ValueError unless the unfolded M is exactly
+    centrosymmetric.
     """
-    m = as_complex_matrix(cm.matrix, require_square=True)
+    m = cm.matrix
+    if not is_centrosymmetric(m, tol=0.0):
+        raise ValueError("the unfolded matrix is not exactly centrosymmetric")
     n = m.shape[0]
     s1 = red.t1.shape[0]
     if s1 + red.t2.shape[0] != n:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_complex_matrix, complex_from_pairs, complex_to_pairs
+from .linalg import as_complex_matrix, complex_to_pairs
 
 __all__ = [
     "CentrosymmetricMatrix",
@@ -27,7 +27,6 @@ __all__ = [
     "STANDARD_COMPLEX_GAUSSIAN",
     "SeedStream",
     "is_centrosymmetric",
-    "matrix_from_json",
     "matrix_to_json",
     "moment_self_test",
     "sample_centrosymmetric",
@@ -88,51 +87,81 @@ class SeedStream:
 
 @dataclass(frozen=True)
 class CentrosymmetricMatrix:
-    """A sampled matrix together with its provenance."""
+    """A centrosymmetric matrix stored as its free top half, with provenance.
 
-    matrix: np.ndarray
+    ``half`` holds the top ceil(n/2) rows.  The bottom floor(n/2) rows are
+    the top ones rotated by 180 degrees, and for odd n the middle row is its
+    own mirror, so the type cannot hold a matrix that is not centrosymmetric.
+    Outside matrices enter through ``from_matrix``, which checks them.
+    """
+
+    half: np.ndarray
     n: int
     seed: int
     stream_index: int
     dist: EntryDistribution
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix, require_square=True)
-        object.__setattr__(self, "matrix", m)
-        if m.shape[0] != self.n:
-            raise ValueError(f"matrix shape {m.shape} does not match n={self.n}")
+        half = np.asarray(self.half, dtype=np.complex128)
+        object.__setattr__(self, "half", half)
+        if half.shape != ((self.n + 1) // 2, self.n):
+            raise ValueError(f"half of shape {half.shape} does not match n={self.n}")
+        if self.n % 2 and not np.array_equal(half[-1], half[-1, ::-1]):
+            raise ValueError("the middle row is not its own mirror")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full n-by-n matrix, unfolded anew on each access."""
+        return _unfold(self.half)
+
+    @classmethod
+    def from_matrix(
+        cls,
+        matrix,
+        seed: int = 0,
+        stream_index: int = 0,
+        dist: EntryDistribution = STANDARD_COMPLEX_GAUSSIAN,
+    ) -> "CentrosymmetricMatrix":
+        """Wrap a square matrix after checking that it is exactly centrosymmetric."""
+        m = as_complex_matrix(matrix, require_square=True)
         if not is_centrosymmetric(m, tol=0.0):
             raise ValueError("matrix is not centrosymmetric")
+        n = m.shape[0]
+        return cls(
+            half=m[: (n + 1) // 2].copy(), n=n, seed=seed, stream_index=stream_index, dist=dist
+        )
 
 
-def _free_position_mask(n: int) -> np.ndarray:
-    """(i, j) is free iff it is lexicographically <= its mirror (1-based)."""
-    i = np.arange(1, n + 1)[:, None]
-    j = np.arange(1, n + 1)[None, :]
-    mi = n + 1 - i
-    mj = n + 1 - j
-    return (i < mi) | ((i == mi) & (j <= mj))
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """The full matrix, or stack of matrices, from its top ceil(n/2) rows.
+
+    Mirror copies reuse the very same float bits, so the symmetry holds
+    exactly, not just to rounding.
+    """
+    n = half.shape[-1]
+    return np.concatenate([half, np.flip(half[..., : n // 2, :], (-2, -1))], axis=-2)
 
 
 def _sample_batch(n: int, dist: EntryDistribution, stream: SeedStream, count: int) -> np.ndarray:
-    """Draw ``count`` matrices from one substream as a (count, n, n) stack.
+    """Draw ``count`` matrices from one substream as a (count, ceil(n/2), n)
+    stack of halves; ``_unfold`` gives the full matrices.
 
-    Exactly ceil(n^2/2) raw entries are drawn per matrix, filled row-major
-    over the free positions, mirrored bit-identically to (n+1-i, n+1-j), and
-    scaled by 1/sqrt(n).  For odd n the center entry is its own mirror and is
-    drawn once.
+    Exactly ceil(n^2/2) raw entries are drawn per matrix and scaled by
+    1/sqrt(n).  They fill the top floor(n/2) rows row-major and, for odd n,
+    the middle row up to and including the center, which is its own mirror
+    and is drawn once; the rest of the middle row mirrors its left part.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    s = n // 2
     n_free = (n * n + 1) // 2
-    raw = dist.draw(count * n_free, stream.generator()).reshape(count, n_free)
-    mask = _free_position_mask(n)
-    x = np.zeros((count, n * n), dtype=np.complex128)
-    x[:, np.flatnonzero(mask.ravel())] = raw
-    x = x.reshape(count, n, n)
-    # Mirror copies reuse the very same float bits, so the symmetry holds
-    # exactly, not just to rounding.
-    return np.where(mask, x, np.flip(x, (1, 2))) / np.sqrt(n)
+    raw = dist.draw(count * n_free, stream.generator()).reshape(count, n_free) / np.sqrt(n)
+    top = raw[:, : s * n].reshape(count, s, n)
+    if n % 2 == 0:
+        return top
+    left = raw[:, s * n :]  # the middle row's first s + 1 entries
+    middle = np.concatenate([left, np.flip(left[:, :s], 1)], axis=1)
+    return np.concatenate([top, middle[:, None, :]], axis=1)
 
 
 def sample_centrosymmetric(
@@ -141,9 +170,9 @@ def sample_centrosymmetric(
     stream: SeedStream = SeedStream(0, 0),
 ) -> CentrosymmetricMatrix:
     """Draw one n-by-n random centrosymmetric matrix: the count=1 batch."""
-    m = _sample_batch(n, dist, stream, 1)[0]
+    half = _sample_batch(n, dist, stream, 1)[0]
     return CentrosymmetricMatrix(
-        matrix=m, n=n, seed=stream.master_seed, stream_index=stream.stream_index, dist=dist
+        half=half, n=n, seed=stream.master_seed, stream_index=stream.stream_index, dist=dist
     )
 
 
@@ -213,14 +242,3 @@ def matrix_to_json(cm: CentrosymmetricMatrix) -> str:
         {"n": cm.n, "seed": cm.seed, "dist": cm.dist.kind, "entries": entries}
     )
 
-
-def matrix_from_json(text: str) -> CentrosymmetricMatrix:
-    obj = json.loads(text)
-    n = int(obj["n"])
-    return CentrosymmetricMatrix(
-        matrix=complex_from_pairs(obj["entries"]).reshape(n, n),
-        n=n,
-        seed=int(obj["seed"]),
-        stream_index=0,
-        dist=EntryDistribution(kind=obj["dist"]),
-    )

@@ -10,7 +10,7 @@ from centro_spectra.cli import (
     parse_and_dispatch,
 )
 from centro_spectra.harness import RunConfig, TestPolynomial, run_clt_experiment
-from centro_spectra.sampling import matrix_from_json
+from centro_spectra.linalg import complex_from_pairs
 
 
 def _run(argv, capsys):
@@ -23,9 +23,10 @@ def test_sample_round_trip(tmp_path, capsys):
     path = tmp_path / "m.json"
     code, _, _ = _run(["sample", "--n", "4", "--seed", "3", "--out", str(path)], capsys)
     assert code == 0
-    cm = matrix_from_json(path.read_text())
-    assert cm.n == 4 and cm.seed == 3
-    assert np.array_equal(cm.matrix, np.flip(cm.matrix, (0, 1)))
+    obj = json.loads(path.read_text())
+    assert obj["n"] == 4 and obj["seed"] == 3
+    m = complex_from_pairs(obj["entries"]).reshape(4, 4)
+    assert np.array_equal(m, np.flip(m, (0, 1)))
 
 
 def test_reduce_n3_example(tmp_path, capsys):

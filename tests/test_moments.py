@@ -1,6 +1,5 @@
 from fractions import Fraction
 from itertools import permutations, product
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -217,12 +216,6 @@ def test_query_validation():
         exact_mixed_trace_moment(MomentQuery(4, 1, 1), method="montecarlo")
     with pytest.raises(ValueError):
         exact_mixed_trace_moment(MomentQuery(4, 1, 2), method="montecarlo")
-
-
-def test_oracle_refuses_non_gaussian_law():
-    fake = SimpleNamespace(kind="uniform_square")
-    with pytest.raises(ValueError):
-        exact_mixed_trace_moment(MomentQuery(4, 1, 1), dist=fake)
 
 
 def test_mc_agreement_small():

@@ -3,19 +3,56 @@ import json
 import numpy as np
 import pytest
 
-from centro_spectra.linalg import counter_identity
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from centro_spectra.linalg import complex_from_pairs, counter_identity
+from centro_spectra.reduction import block_reduce
 from centro_spectra.sampling import (
     STANDARD_COMPLEX_GAUSSIAN,
     CentrosymmetricMatrix,
     EntryDistribution,
     SeedStream,
-    _free_position_mask,
+    _sample_batch,
+    _unfold,
     is_centrosymmetric,
-    matrix_from_json,
     matrix_to_json,
     moment_self_test,
     sample_centrosymmetric,
 )
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _reference_mask_sampler(n, dist, stream, count):
+    """The full-matrix sampler the half sampler replaced: raw draws fill the
+    free positions, those (i, j) lexicographically <= their mirror (1-based),
+    row-major; mirror copies come from a flip."""
+    i = np.arange(1, n + 1)[:, None]
+    j = np.arange(1, n + 1)[None, :]
+    mask = (i < n + 1 - i) | ((i == n + 1 - i) & (j <= n + 1 - j))
+    n_free = (n * n + 1) // 2
+    raw = dist.draw(count * n_free, stream.generator()).reshape(count, n_free)
+    x = np.zeros((count, n * n), dtype=np.complex128)
+    x[:, np.flatnonzero(mask.ravel())] = raw
+    x = x.reshape(count, n, n)
+    return np.where(mask, x, np.flip(x, (1, 2))) / np.sqrt(n)
+
+
+def _reference_blocks(m):
+    """T1 = A + JC and T2 = A - JC read off the full matrix's quadrants,
+    with the sqrt(2) border on T1 for odd n."""
+    n = m.shape[0]
+    s = n // 2
+    a = m[:s, :s]
+    jc = np.flipud(m[n - s :, :s])
+    t1 = a + jc
+    if n % 2:
+        center = np.array([[m[s, s]]])
+        t1 = np.block([[t1, np.sqrt(2.0) * m[:s, s : s + 1]], [np.sqrt(2.0) * m[s : s + 1, :s], center]])
+    return t1, a - jc
 
 
 def test_n1_single_draw():
@@ -32,10 +69,29 @@ def test_n2_mirror_pairs_bit_identical():
 
 
 def test_free_draw_count_n5():
-    # pairing (i,j) <-> (n+1-i, n+1-j) has one fixed point for odd n
-    mask = _free_position_mask(5)
-    assert mask.sum() == 13 == (5 * 5 + 1) // 2
-    assert mask[2, 2]  # the center is its own mirror, drawn once
+    # pairing (i,j) <-> (n+1-i, n+1-j) has one fixed point for odd n, so a
+    # 5x5 matrix takes 13 draws: two full rows, then the middle row up to
+    # and including the center, which is drawn once
+    raw = STANDARD_COMPLEX_GAUSSIAN.draw(26, SeedStream(3, 1).generator()) / np.sqrt(5)
+    halves = _sample_batch(5, STANDARD_COMPLEX_GAUSSIAN, SeedStream(3, 1), 2)
+    assert halves.shape == (2, 3, 5)
+    for t in range(2):
+        draws = raw[13 * t : 13 * (t + 1)]
+        assert np.array_equal(halves[t, :2].ravel(), draws[:10])
+        assert np.array_equal(halves[t, 2], draws[[10, 11, 12, 11, 10]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 64), stream=st.integers(0, 2**32), count=st.integers(1, 3))
+def test_half_sampler_matches_mask_sampler_bit_for_bit(n, stream, count):
+    dist, seeds = STANDARD_COMPLEX_GAUSSIAN, SeedStream(29, stream)
+    full = _unfold(_sample_batch(n, dist, seeds, count))
+    assert np.array_equal(_bits(full), _bits(_reference_mask_sampler(n, dist, seeds, count)))
+    if n >= 2:
+        red = block_reduce(sample_centrosymmetric(n, dist, seeds))
+        t1, t2 = _reference_blocks(full[0])
+        assert np.array_equal(_bits(red.t1), _bits(t1))
+        assert np.array_equal(_bits(red.t2), _bits(t2))
 
 
 def test_mirror_symmetry_exact_all_sizes():
@@ -93,12 +149,11 @@ def test_moment_self_test_rejects_tiny_sample():
 
 def test_json_round_trip_bit_identical():
     cm = sample_centrosymmetric(5, stream=SeedStream(13, 2))
-    loaded = matrix_from_json(matrix_to_json(cm))
-    assert np.array_equal(loaded.matrix, cm.matrix)
-    assert loaded.n == cm.n and loaded.seed == cm.seed
     obj = json.loads(matrix_to_json(cm))
     assert set(obj) == {"n", "seed", "dist", "entries"}
+    assert obj["n"] == cm.n and obj["seed"] == cm.seed
     assert len(obj["entries"]) == 25
+    assert np.array_equal(_bits(complex_from_pairs(obj["entries"]).reshape(5, 5)), _bits(cm.matrix))
 
 
 def test_unknown_distribution_rejected():
@@ -117,10 +172,11 @@ def test_seed_stream_validation():
 
 def test_constructor_rejects_asymmetric_matrix():
     with pytest.raises(ValueError):
-        CentrosymmetricMatrix(
-            matrix=np.array([[1.0, 2.0], [3.0, 4.0]]),
-            n=2,
-            seed=0,
-            stream_index=0,
-            dist=STANDARD_COMPLEX_GAUSSIAN,
-        )
+        CentrosymmetricMatrix.from_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    with pytest.raises(ValueError):
+        CentrosymmetricMatrix.from_matrix(np.zeros((2, 3)))
+    cm = CentrosymmetricMatrix.from_matrix(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 4.0], [3.0, 2.0, 1.0]]))
+    assert cm.half.shape == (2, 3) and cm.n == 3
+    for half in (np.zeros((1, 3)), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])):
+        with pytest.raises(ValueError):  # wrong shape; a middle row that is not a palindrome
+            CentrosymmetricMatrix(half=half, n=3, seed=0, stream_index=0, dist=STANDARD_COMPLEX_GAUSSIAN)
