@@ -22,6 +22,7 @@ and counted, never silently dropped.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -164,17 +165,17 @@ class RunConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.tau < 0:
-            raise ValueError("tau must be non-negative")
+        if not self.rho > 0:  # NaN fails every comparison
+            raise ValueError(f"rho must be positive, got {self.rho!r}")
+        if not self.tau >= 0:
+            raise ValueError(f"tau must be non-negative, got {self.tau!r}")
         if self.threads is not None and (type(self.threads) is not int or self.threads < 1):
             raise ValueError(f"threads must be None or an int >= 1, got {self.threads!r}")
         points = tuple(complex(z) for z in self.contour_points)
         object.__setattr__(self, "contour_points", points)
         for z in points:
-            if abs(z) <= 1.2:
-                raise ValueError(f"contour point {z} must satisfy |z| > 1.2")
+            if not abs(z) > 1.2 or not cmath.isfinite(z):
+                raise ValueError(f"contour point {z} must be finite with |z| > 1.2")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,18 @@ def test_sample_round_trip(tmp_path, capsys):
     assert np.array_equal(m, np.flip(m, (0, 1)))
 
 
+def test_nan_guard_values_are_validation_failures(tmp_path, capsys):
+    for argv in (
+        ["clt", "--n", "8", "--trials", "4", "--poly", "1", "--rho", "nan"],
+        ["resolvent-cov", "--n", "8", "--trials", "4", "--contour", "3,0", "--tau", "nan"],
+        ["resolvent-cov", "--n", "8", "--trials", "4", "--contour", "nan,0"],
+    ):
+        code, _, err = _run([*argv, "--out", str(tmp_path / "x.json")], capsys)
+        assert code == 1, argv
+        assert "rejected by the norm guard" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_reduce_n3_example(tmp_path, capsys):
     path = tmp_path / "r.json"
     code, _, _ = _run(["reduce", "--n", "3", "--seed", "7", "--out", str(path)], capsys)

@@ -114,6 +114,16 @@ def test_run_config_validation():
         RunConfig(n=4, trials=10, master_seed=0, contour_points=(1.0,))  # |z| <= 1.2
     with pytest.raises(ValueError):
         RunConfig(n=4, trials=10, master_seed=0, rho=-1.0)
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        {"rho": nan},
+        {"tau": nan},
+        {"contour_points": (complex(nan, 0.0),)},
+        {"contour_points": (complex(inf, 0.0),)},
+        {"contour_points": (2.0, complex(0.0, -inf))},
+    ):
+        with pytest.raises(ValueError):
+            RunConfig(n=4, trials=10, master_seed=0, **bad)
     for threads in (0, "2", 2.0, True):
         with pytest.raises(ValueError):
             RunConfig(n=4, trials=10, master_seed=0, threads=threads)
