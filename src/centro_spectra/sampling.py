@@ -236,9 +236,16 @@ def moment_self_test(
 
 
 def matrix_to_json(cm: CentrosymmetricMatrix) -> str:
-    """Dump format: {n, seed, dist, entries: [[re, im], ...] row-major}."""
+    """Dump format: {n, seed, stream_index, dist, entries: [[re, im], ...]
+    row-major over the full matrix}."""
     entries = complex_to_pairs(cm.matrix.ravel())
     return json.dumps(
-        {"n": cm.n, "seed": cm.seed, "dist": cm.dist.kind, "entries": entries}
+        {
+            "n": cm.n,
+            "seed": cm.seed,
+            "stream_index": cm.stream_index,
+            "dist": cm.dist.kind,
+            "entries": entries,
+        }
     )
 

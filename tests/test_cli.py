@@ -24,9 +24,16 @@ def test_sample_round_trip(tmp_path, capsys):
     code, _, _ = _run(["sample", "--n", "4", "--seed", "3", "--out", str(path)], capsys)
     assert code == 0
     obj = json.loads(path.read_text())
-    assert obj["n"] == 4 and obj["seed"] == 3
+    assert obj["n"] == 4 and obj["seed"] == 3 and obj["stream_index"] == 0
     m = complex_from_pairs(obj["entries"]).reshape(4, 4)
     assert np.array_equal(m, np.flip(m, (0, 1)))
+
+
+def test_sample_dump_records_stream_index(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    argv = ["sample", "--n", "3", "--seed", "3", "--stream", "3", "--out", str(path)]
+    assert _run(argv, capsys)[0] == 0
+    assert json.loads(path.read_text())["stream_index"] == 3
 
 
 def test_nan_guard_values_are_validation_failures(tmp_path, capsys):

@@ -59,7 +59,7 @@ GOLDEN = {
     "moments_exact.json": "cd8c1a52c363af8314663a8fd99afe94e88f4dc72be5fc53c8850a84cd6af93b",
     "moments_mc.json": "a6cb802ab0fe147a71d15f95fd58e405ec6fa3b4c3038059cfb853dae69eb4c9",
     "reduce.json": "b57828cb590869cfa068366ea9b109b189e29b4fe99928d9b624f9de96c8d336",
-    "sample.json": "f9679648100821df490233ed32c2ef638996eee3041ff24a36497925411e1c22",
+    "sample.json": "503b940f919d53686687a0a0362ed3d52ac6a4b94af03d365fc84951cdfef98a",
     "spectrum_blocks.json": "f8fd3941b732113fd3e9937eb3d16073a4992df00b99f0bb8bdf18bcc2754f34",
     "spectrum_dense.json": "83ebb0a1eb9b34161878717bfa7e5be0803be1bf6f25d7aab66d0da980abc636",
     "spectrum_odd.json": "645ce9ff8a2529bdfd59ae701eb413177f8dd490f696f8ba6cca39bbde83274f",

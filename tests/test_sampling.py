@@ -150,8 +150,8 @@ def test_moment_self_test_rejects_tiny_sample():
 def test_json_round_trip_bit_identical():
     cm = sample_centrosymmetric(5, stream=SeedStream(13, 2))
     obj = json.loads(matrix_to_json(cm))
-    assert set(obj) == {"n", "seed", "dist", "entries"}
-    assert obj["n"] == cm.n and obj["seed"] == cm.seed
+    assert set(obj) == {"n", "seed", "stream_index", "dist", "entries"}
+    assert (obj["n"], obj["seed"], obj["stream_index"]) == (5, 13, 2)
     assert len(obj["entries"]) == 25
     assert np.array_equal(_bits(complex_from_pairs(obj["entries"]).reshape(5, 5)), _bits(cm.matrix))
 
