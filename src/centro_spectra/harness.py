@@ -22,7 +22,6 @@ and counted, never silently dropped.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -174,7 +173,7 @@ class RunConfig:
         points = tuple(complex(z) for z in self.contour_points)
         object.__setattr__(self, "contour_points", points)
         for z in points:
-            if not abs(z) > 1.2 or not cmath.isfinite(z):
+            if not abs(z) > 1.2 or not np.isfinite(z):
                 raise ValueError(f"contour point {z} must be finite with |z| > 1.2")
 
 

@@ -9,7 +9,9 @@ with
 where J is the s-by-s counter-identity; for odd n, T1 gains a border
 [[A+JC, sqrt(2) x], [sqrt(2) y, q]] built from the middle column x, middle
 row y and center entry q.  The two blocks carry the full spectrum of M, at
-roughly a quarter of the dense eigensolver cost.
+roughly a quarter of the dense eigensolver cost.  Centrosymmetry makes C
+the mirror of B, so J C = B J and the blocks come from the stored top half
+[A | x | B] and the odd-n middle row alone.
 
 Note the block columns of Q used here are ((v, Jv)) and ((-v, Jv)): this is
 the pairing that makes Q^T M Q exactly equal to diag(A+JC, A-JC).  The
@@ -17,8 +19,8 @@ frequently quoted variant [[I, -J], [J, I]] is orthogonal too but produces
 J (A - JC) J in the lower block (same spectrum, different entries).
 
 Q itself is built for verification only: block_reduce reads the blocks
-straight off the quadrants, and verify_reduction forms Q^T M Q as the
-independent check.
+straight off the half, and verify_reduction unfolds M, checks that it is
+exactly centrosymmetric and forms Q^T M Q as the independent check.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
 """Sampling of random centrosymmetric matrices with reproducible streams.
 
 An n-by-n centrosymmetric matrix satisfies m[i, j] == m[n+1-i, n+1-j]
-(1-based), i.e. it is symmetric about its center.  Only ceil(n^2/2) entries
-are free; the rest are mirror copies.  Free entries are drawn i.i.d. from the
-standard circular complex Gaussian and the whole matrix is scaled by
-1/sqrt(n), so every entry has mean zero and variance 1/n.
+(1-based), i.e. it is symmetric about its center.  It is fixed by its top
+ceil(n/2) rows [A | x | B] (the middle column x and the middle row, its own
+mirror, exist only for odd n), so only ceil(n^2/2) entries are free.
+CentrosymmetricMatrix stores just this half, which is all the block
+reduction needs since J C = B J; the bottom rows are mirror copies,
+unfolded on demand.  Free entries are drawn i.i.d. from the standard
+circular complex Gaussian and scaled by 1/sqrt(n), so every entry has mean
+zero and variance 1/n.
 
 Randomness is counter-based (Philox keyed by (master_seed, stream_index)),
 so distinct trials get independent substreams and a draw depends on its
@@ -87,12 +91,11 @@ class SeedStream:
 
 @dataclass(frozen=True)
 class CentrosymmetricMatrix:
-    """A centrosymmetric matrix stored as its free top half, with provenance.
+    """A centrosymmetric matrix stored as its top ceil(n/2) rows, with provenance.
 
-    ``half`` holds the top ceil(n/2) rows.  The bottom floor(n/2) rows are
-    the top ones rotated by 180 degrees, and for odd n the middle row is its
-    own mirror, so the type cannot hold a matrix that is not centrosymmetric.
-    Outside matrices enter through ``from_matrix``, which checks them.
+    The bottom rows are the top ones rotated by 180 degrees and the odd-n
+    middle row must be its own mirror, so the type cannot hold a matrix that
+    is not centrosymmetric.  Outside matrices enter through ``from_matrix``.
     """
 
     half: np.ndarray
@@ -115,29 +118,19 @@ class CentrosymmetricMatrix:
         return _unfold(self.half)
 
     @classmethod
-    def from_matrix(
-        cls,
-        matrix,
-        seed: int = 0,
-        stream_index: int = 0,
-        dist: EntryDistribution = STANDARD_COMPLEX_GAUSSIAN,
-    ) -> "CentrosymmetricMatrix":
-        """Wrap a square matrix after checking that it is exactly centrosymmetric."""
+    def from_matrix(cls, matrix) -> "CentrosymmetricMatrix":
+        """Wrap an outside square matrix, checked to be exactly centrosymmetric
+        (provenance: seed 0, stream 0, the Gaussian law)."""
         m = as_complex_matrix(matrix, require_square=True)
         if not is_centrosymmetric(m, tol=0.0):
             raise ValueError("matrix is not centrosymmetric")
         n = m.shape[0]
-        return cls(
-            half=m[: (n + 1) // 2].copy(), n=n, seed=seed, stream_index=stream_index, dist=dist
-        )
+        return cls(m[: (n + 1) // 2].copy(), n, 0, 0, STANDARD_COMPLEX_GAUSSIAN)
 
 
 def _unfold(half: np.ndarray) -> np.ndarray:
     """The full matrix, or stack of matrices, from its top ceil(n/2) rows.
-
-    Mirror copies reuse the very same float bits, so the symmetry holds
-    exactly, not just to rounding.
-    """
+    Mirror copies reuse the very same float bits: the symmetry is exact."""
     n = half.shape[-1]
     return np.concatenate([half, np.flip(half[..., : n // 2, :], (-2, -1))], axis=-2)
 
@@ -240,12 +233,7 @@ def matrix_to_json(cm: CentrosymmetricMatrix) -> str:
     row-major over the full matrix}."""
     entries = complex_to_pairs(cm.matrix.ravel())
     return json.dumps(
-        {
-            "n": cm.n,
-            "seed": cm.seed,
-            "stream_index": cm.stream_index,
-            "dist": cm.dist.kind,
-            "entries": entries,
-        }
+        {"n": cm.n, "seed": cm.seed, "stream_index": cm.stream_index, "dist": cm.dist.kind,
+         "entries": entries}
     )
 
