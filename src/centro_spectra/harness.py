@@ -173,7 +173,7 @@ class RunConfig:
         points = tuple(complex(z) for z in self.contour_points)
         object.__setattr__(self, "contour_points", points)
         for z in points:
-            if not abs(z) > 1.2 or not np.isfinite(z):
+            if not (np.isfinite(z) and abs(z) > 1.2):
                 raise ValueError(f"contour point {z} must be finite with |z| > 1.2")
 
 

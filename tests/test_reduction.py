@@ -89,6 +89,15 @@ def test_verify_reduction_shape_mismatch():
         verify_reduction(cm, bad)
 
 
+def test_verify_reduction_rejects_asymmetric_matrix():
+    cm = sample_centrosymmetric(5, stream=SeedStream(5, 3))
+    half = cm.half.copy()
+    half[2, 0] += 1e-3  # the middle row is no longer its own mirror
+    object.__setattr__(cm, "half", half)  # past the constructor's check
+    with pytest.raises(ValueError):
+        verify_reduction(cm, block_reduce(cm))
+
+
 def test_eigenvalue_union_property():
     for n in (2, 3, 6, 9, 12):
         cm = sample_centrosymmetric(n, stream=SeedStream(11, n))

@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,8 +49,8 @@ def _reference_blocks(m):
     jc = np.flipud(m[n - s :, :s])
     t1 = a + jc
     if n % 2:
-        center = np.array([[m[s, s]]])
-        t1 = np.block([[t1, np.sqrt(2.0) * m[:s, s : s + 1]], [np.sqrt(2.0) * m[s : s + 1, :s], center]])
+        x, y, center = m[:s, s : s + 1], m[s : s + 1, :s], np.array([[m[s, s]]])
+        t1 = np.block([[t1, np.sqrt(2.0) * x], [np.sqrt(2.0) * y, center]])
     return t1, a - jc
 
 
