@@ -32,7 +32,7 @@ import numpy as np
 from .linalg import counter_identity
 from .sampling import CentrosymmetricMatrix, is_centrosymmetric
 
-__all__ = ["BlockReduction", "block_reduce", "build_orthogonal_q", "verify_reduction"]
+__all__ = ["BlockReduction", "block_reduce", "build_orthogonal_q", "split_blocks", "verify_reduction"]
 
 _SQRT_HALF = np.sqrt(0.5)
 
@@ -77,27 +77,39 @@ def build_orthogonal_q(n: int) -> np.ndarray:
     return _SQRT_HALF * np.block([[i, z, -i], [z.T, mid, z.T], [j, z, j]])
 
 
+def split_blocks(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks (T1, T2) of one half [A | x | B] or of a stack of halves.
+
+    The last two axes hold the top ceil(n/2) rows; any leading axes are
+    kept.  T1 = A + BJ and T2 = A - BJ, using J C = B J; for odd n, T1 gains
+    the border sqrt(2) x, sqrt(2) y and the center.  At n = 1, T1 is the
+    center entry and T2 is 0 by 0.
+    """
+    n = half.shape[-1]
+    s = n // 2
+    a = half[..., :s, :s]
+    bj = half[..., :s, n - s :][..., ::-1]  # B J reverses the columns of B
+    if n % 2 == 0:
+        return a + bj, a - bj
+    x = half[..., :s, s : s + 1]
+    y = half[..., s:, :s]
+    center = half[..., s:, s : s + 1]
+    top = np.concatenate([a + bj, np.sqrt(2.0) * x], axis=-1)
+    bottom = np.concatenate([np.sqrt(2.0) * y, center], axis=-1)
+    return np.concatenate([top, bottom], axis=-2), a - bj
+
+
 def block_reduce(cm: CentrosymmetricMatrix) -> BlockReduction:
     """Split a centrosymmetric matrix into its two spectral blocks.
 
-    The blocks are read straight off the stored top half [A | x | B] in
-    O(n^2), using J C = B J, without unfolding M or building Q; forming
-    Q^T M Q explicitly is left to verify_reduction as the independent check.
+    The blocks are read straight off the stored top half by split_blocks in
+    O(n^2), without unfolding M or building Q; forming Q^T M Q explicitly is
+    left to verify_reduction as the independent check.
     """
-    n = cm.n
-    if n < 2:
+    if cm.n < 2:
         raise ValueError("block reduction needs n >= 2")
-    s = n // 2
-    h = cm.half
-    a = h[:s, :s]
-    bj = h[:s, n - s :][:, ::-1]  # B J reverses the columns of B
-    if n % 2 == 0:
-        return BlockReduction(t1=a + bj, t2=a - bj, parity="even")
-    x = h[:s, s : s + 1]
-    y = h[s:, :s]
-    center = h[s:, s : s + 1]
-    t1 = np.block([[a + bj, np.sqrt(2.0) * x], [np.sqrt(2.0) * y, center]])
-    return BlockReduction(t1=t1, t2=a - bj, parity="odd")
+    t1, t2 = split_blocks(cm.half)
+    return BlockReduction(t1=t1, t2=t2, parity="even" if cm.n % 2 == 0 else "odd")
 
 
 def verify_reduction(cm: CentrosymmetricMatrix, red: BlockReduction) -> float:

@@ -5,8 +5,20 @@ from hypothesis import strategies as st
 
 from centro_spectra.eigen import eigenvalues_centrosymmetric, eigenvalues_dense, match_spectra
 from centro_spectra.linalg import operator_norm_estimate
-from centro_spectra.reduction import BlockReduction, block_reduce, build_orthogonal_q, verify_reduction
-from centro_spectra.sampling import CentrosymmetricMatrix, SeedStream, sample_centrosymmetric
+from centro_spectra.reduction import (
+    BlockReduction,
+    block_reduce,
+    build_orthogonal_q,
+    split_blocks,
+    verify_reduction,
+)
+from centro_spectra.sampling import (
+    STANDARD_COMPLEX_GAUSSIAN,
+    CentrosymmetricMatrix,
+    SeedStream,
+    _sample_batch,
+    sample_centrosymmetric,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -122,3 +134,13 @@ def test_block_entry_statistics():
     sq = np.abs(values) ** 2
     var_se = sq.std() / np.sqrt(count)
     assert abs(sq.mean() - 2.0 / n) <= 5 * var_se
+
+
+def test_split_blocks_on_a_stack_equals_block_reduce_per_matrix():
+    for n in range(2, 41):
+        halves = _sample_batch(n, STANDARD_COMPLEX_GAUSSIAN, SeedStream(31, n), 3)
+        t1, t2 = split_blocks(halves)
+        for i, half in enumerate(halves):
+            red = block_reduce(CentrosymmetricMatrix(half, n, 31, n, STANDARD_COMPLEX_GAUSSIAN))
+            assert np.array_equal(t1[i].view(np.int64), red.t1.view(np.int64))
+            assert np.array_equal(t2[i].view(np.int64), red.t2.view(np.int64))
