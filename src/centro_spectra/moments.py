@@ -16,12 +16,21 @@ That makes mixed trace moments exactly computable in two independent ways:
   n then costs one evaluation over its 2k + 1 coefficients.
 
 Both paths return exact rationals and must agree wherever both run; the
-Monte Carlo estimator cross-checks them statistically.  Values are already
-scaled by n^{-(k+l)/2}, matching traces of the 1/sqrt(n)-scaled matrix.
+Monte Carlo estimator cross-checks them statistically.  It never forms M:
+the exact reduction M ~ diag(T1, T2) gives Tr M^k = Tr T1^k + Tr T2^k, so
+each chunk of sampled halves is split into its two blocks, and powers are
+taken only to half depth, Tr T^k = sum_ij (T^floor(k/2))_ij (T^ceil(k/2))_ji.
+The chunks run on a thread pool of up to os.cpu_count() threads (the
+Philox fills and the stacked matmuls release the GIL) and their partial
+sums are added in chunk order, so the estimate does not depend on the
+number of cores.  Values are already scaled by n^{-(k+l)/2}, matching
+traces of the 1/sqrt(n)-scaled matrix.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +39,8 @@ from math import factorial
 
 import numpy as np
 
-from .sampling import STANDARD_COMPLEX_GAUSSIAN, EntryDistribution, SeedStream, _sample_batch, _unfold
+from .reduction import split_blocks
+from .sampling import STANDARD_COMPLEX_GAUSSIAN, EntryDistribution, SeedStream, _sample_batch
 
 __all__ = [
     "ENUMERATION_BUDGET",
@@ -320,35 +330,57 @@ def mc_trace_moment(
 ) -> McEstimate:
     """Monte Carlo estimate of E[Tr(M^k) Tr(conj(M)^l)] with standard error.
 
-    Trials are drawn in fixed-size chunks, one seed substream per chunk, so
-    the estimate is reproducible regardless of how the work is scheduled.
+    Trials are drawn in chunks of _MC_CHUNK, chunk i from substream
+    stream.child(i).  Each chunk is split into its blocks, Tr M^d is taken
+    as Tr T1^d + Tr T2^d from powers of half depth, and the chunks run on a
+    thread pool of up to os.cpu_count() threads.  The partial sums are
+    added in chunk order, so the estimate is the same to the bit whatever
+    the pool size.
     """
     if trials < 10**3:
         raise ValueError(f"need at least 10^3 trials, got {trials}")
-    kmax = max(q.k, max(q.l, 1))
+    counts = [min(_MC_CHUNK, trials - start) for start in range(0, trials, _MC_CHUNK)]
+    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(counts))) as pool:
+        partials = list(pool.map(
+            lambda i: _mc_chunk(q, dist, stream.child(i), counts[i]), range(len(counts))
+        ))
     sum_x = 0.0 + 0.0j
     sum_abs2 = 0.0
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        count = min(_MC_CHUNK, trials - done)
-        batch = _unfold(_sample_batch(q.n, dist, stream.child(chunk_index), count))
-        traces = np.empty((kmax, count), dtype=np.complex128)
-        power = batch
-        traces[0] = np.einsum("tii->t", power)
-        for deg in range(1, kmax):
-            power = power @ batch
-            traces[deg] = np.einsum("tii->t", power)
-        x = traces[q.k - 1]
-        if q.l >= 1:
-            x = x * np.conj(traces[q.l - 1])
-        sum_x += x.sum()
-        sum_abs2 += float((np.abs(x) ** 2).sum())
-        done += count
-        chunk_index += 1
+    for chunk_x, chunk_abs2 in partials:
+        sum_x += chunk_x
+        sum_abs2 += chunk_abs2
     mean = sum_x / trials
     variance = max(sum_abs2 / trials - abs(mean) ** 2, 0.0) * trials / max(trials - 1, 1)
     return McEstimate(mean=complex(mean), se=float(np.sqrt(variance / trials)), trials=trials)
+
+
+def _mc_chunk(
+    q: MomentQuery, dist: EntryDistribution, stream: SeedStream, count: int
+) -> tuple[complex, float]:
+    """(sum of x, sum of |x|^2) over one chunk, x = Tr(M^k) conj(Tr(M^l))."""
+    t1, t2 = split_blocks(_sample_batch(q.n, dist, stream, count))
+    degrees = {q.k, q.l} - {0}
+    tr1, tr2 = _power_traces(t1, degrees), _power_traces(t2, degrees)
+    x = tr1[q.k] + tr2[q.k]
+    if q.l >= 1:
+        x = x * np.conj(tr1[q.l] + tr2[q.l])
+    return complex(x.sum()), float((np.abs(x) ** 2).sum())
+
+
+def _power_traces(t: np.ndarray, degrees: set[int]) -> dict[int, np.ndarray]:
+    """Tr T^d for each degree d >= 1 over a stack of square matrices T.
+
+    Powers are formed only up to ceil(max(degrees) / 2), since
+    Tr T^d = sum_ij (T^floor(d/2))_ij (T^ceil(d/2))_ji.
+    """
+    powers = [None, t]  # powers[p] = T^p
+    while 2 * (len(powers) - 1) < max(degrees):
+        powers.append(powers[-1] @ t)
+    return {
+        d: np.einsum("...ii->...", t) if d == 1
+        else np.einsum("...ij,...ji->...", powers[d // 2], powers[d - d // 2])
+        for d in degrees
+    }
 
 
 def moment_result(

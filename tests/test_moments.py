@@ -1,13 +1,17 @@
+import os
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centro_spectra.moments import (
+    _MC_CHUNK,
     ENUMERATION_BUDGET,
     BudgetExceededError,
+    McEstimate,
     MomentQuery,
     _matching_exact,
     asymptotic_prediction,
@@ -16,7 +20,7 @@ from centro_spectra.moments import (
     mc_trace_moment,
     moment_result,
 )
-from centro_spectra.sampling import SeedStream
+from centro_spectra.sampling import STANDARD_COMPLEX_GAUSSIAN, SeedStream, _sample_batch, _unfold
 
 
 class _ReferenceParityUnionFind:
@@ -242,6 +246,61 @@ def test_mc_is_reproducible():
     a = mc_trace_moment(q, 10**3, SeedStream(3, 0))
     b = mc_trace_moment(q, 10**3, SeedStream(3, 0))
     assert a.mean == b.mean and a.se == b.se
+
+
+def _reference_mc_trace_moment(q, trials, stream):
+    """The full-matrix estimator: unfold every chunk and take k - 1 stacked
+    matmuls, one chunk after another."""
+    kmax = max(q.k, max(q.l, 1))
+    sum_x = 0.0 + 0.0j
+    sum_abs2 = 0.0
+    done = 0
+    chunk_index = 0
+    while done < trials:
+        count = min(_MC_CHUNK, trials - done)
+        batch = _unfold(_sample_batch(q.n, STANDARD_COMPLEX_GAUSSIAN, stream.child(chunk_index), count))
+        traces = np.empty((kmax, count), dtype=np.complex128)
+        power = batch
+        traces[0] = np.einsum("tii->t", power)
+        for deg in range(1, kmax):
+            power = power @ batch
+            traces[deg] = np.einsum("tii->t", power)
+        x = traces[q.k - 1]
+        if q.l >= 1:
+            x = x * np.conj(traces[q.l - 1])
+        sum_x += x.sum()
+        sum_abs2 += float((np.abs(x) ** 2).sum())
+        done += count
+        chunk_index += 1
+    mean = sum_x / trials
+    variance = max(sum_abs2 / trials - abs(mean) ** 2, 0.0) * trials / max(trials - 1, 1)
+    return McEstimate(mean=complex(mean), se=float(np.sqrt(variance / trials)), trials=trials)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    k=st.integers(1, 6),
+    l=st.integers(0, 6),
+    trials=st.integers(10**3, 5000),
+    index=st.integers(0, 2**32),
+)
+def test_mc_blocks_match_full_matrix_reference(n, k, l, trials, index):
+    q = MomentQuery(n, k, l)
+    est = mc_trace_moment(q, trials, SeedStream(9, index))
+    ref = _reference_mc_trace_moment(q, trials, SeedStream(9, index))
+    assert est.trials == ref.trials
+    assert abs(est.mean - ref.mean) <= 1e-12 * abs(ref.mean)
+    assert abs(est.se - ref.se) <= 1e-12 * ref.se
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_mc_does_not_depend_on_the_pool_size(monkeypatch, cpus):
+    q = MomentQuery(7, 3, 2)
+    trials = 3 * _MC_CHUNK + 1000
+    pooled = mc_trace_moment(q, trials, SeedStream(4, 2))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert mc_trace_moment(q, trials, SeedStream(4, 2)) == pooled
 
 
 def test_moment_result_bundle():
