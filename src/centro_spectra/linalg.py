@@ -115,9 +115,12 @@ def operator_norm_estimate(m, tol: float = 1e-6, max_iterations: int | None = No
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Multiset of eigenvalues of one matrix (order carries no meaning)."""
+    """Multiset of eigenvalues of one matrix (order carries no meaning).
+
+    ``==`` is identity: compare spectra with ``match_spectra``.
+    """
 
     eigenvalues: np.ndarray
     source_dim: int

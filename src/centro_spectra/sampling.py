@@ -89,13 +89,14 @@ class SeedStream:
         return SeedStream(self.master_seed, self.stream_index + offset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentrosymmetricMatrix:
     """A centrosymmetric matrix stored as its top ceil(n/2) rows, with provenance.
 
     The bottom rows are the top ones rotated by 180 degrees and the odd-n
     middle row must be its own mirror, so the type cannot hold a matrix that
     is not centrosymmetric.  Outside matrices enter through ``from_matrix``.
+    ``==`` is identity; compare the ``half`` arrays to compare entries.
     """
 
     half: np.ndarray

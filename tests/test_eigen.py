@@ -129,3 +129,10 @@ def test_spectrum_json_round_trip():
     obj = json.loads(spectrum_to_json(spec))
     assert obj["source_dim"] == 2
     assert np.array_equal(complex_from_pairs(obj["eigenvalues"]), spec.eigenvalues)
+
+
+def test_spectrum_equality_is_identity_and_never_raises():
+    a = Spectrum(eigenvalues=np.array([1.0, 2.0j]), source_dim=2)
+    b = Spectrum(eigenvalues=np.array([1.0, 2.0j]), source_dim=2)
+    assert (a == b) is False
+    assert (a == a) is True

@@ -179,3 +179,10 @@ def test_constructor_rejects_asymmetric_matrix():
     for half in (np.zeros((1, 3)), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])):
         with pytest.raises(ValueError):  # wrong shape; a middle row that is not a palindrome
             CentrosymmetricMatrix(half=half, n=3, seed=0, stream_index=0, dist=STANDARD_COMPLEX_GAUSSIAN)
+
+
+def test_equality_is_identity_and_never_raises():
+    a = sample_centrosymmetric(4, stream=SeedStream(6, 1))
+    b = sample_centrosymmetric(4, stream=SeedStream(6, 1))
+    assert (a == b) is False
+    assert (a == a) is True
