@@ -28,19 +28,18 @@ from .harness import (
     run_clt_experiment,
     run_covariance_kernel_experiment,
 )
-from .linalg import complex_from_pairs, complex_to_pairs, counter_identity
+from .linalg import complex_to_pairs, counter_identity
 from .moments import McEstimate, MomentQuery, moment_result
 from .reduction import block_reduce, verify_reduction
 from .sampling import (
     STANDARD_COMPLEX_GAUSSIAN,
-    EntryDistribution,
     SeedStream,
     matrix_to_json,
     moment_self_test,
     sample_centrosymmetric,
 )
 
-__all__ = ["config_from_json_dict", "config_to_json_dict", "emit_plot_data", "main", "parse_and_dispatch"]
+__all__ = ["config_to_json_dict", "emit_plot_data", "main", "parse_and_dispatch"]
 
 
 class _UsageError(Exception):
@@ -81,21 +80,6 @@ def config_to_json_dict(config: RunConfig) -> dict:
         "tau": config.tau,
         "threads": config.threads,
     }
-
-
-def config_from_json_dict(obj: dict) -> RunConfig:
-    poly = obj.get("poly")
-    return RunConfig(
-        n=int(obj["n"]),
-        trials=int(obj["trials"]),
-        master_seed=int(obj["master_seed"]),
-        dist=EntryDistribution(kind=obj.get("dist", "standard_complex_gaussian")),
-        poly=None if poly is None else TestPolynomial(coeffs=tuple(complex_from_pairs(poly))),
-        contour_points=tuple(complex_from_pairs(obj.get("contour_points", []))),
-        rho=float(obj.get("rho", 2.2)),
-        tau=float(obj.get("tau", 0.5)),
-        threads=obj.get("threads"),
-    )
 
 
 def _summary_dict(batch: TrialBatch) -> dict:
