@@ -155,7 +155,10 @@ def _enumeration_exact(n: int, k: int) -> Fraction:
     kl = 2 * k
     total_tuples = n**kl
     acc = 0
-    chunk = 1 << 16
+    # A chunk's arrays (about 2.5 MB at 2k = 8) stay under glibc's malloc
+    # trim threshold, so the heap is reused from chunk to chunk rather than
+    # handed back to the kernel and faulted in again.
+    chunk = 1 << 14
     for start in range(0, total_tuples, chunk):
         idx = np.arange(start, min(start + chunk, total_tuples), dtype=np.int64)
         digits = np.empty((len(idx), kl), dtype=np.int64)
