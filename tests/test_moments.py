@@ -258,7 +258,8 @@ def _reference_mc_trace_moment(q, trials, stream):
     chunk_index = 0
     while done < trials:
         count = min(_MC_CHUNK, trials - done)
-        batch = _unfold(_sample_batch(q.n, STANDARD_COMPLEX_GAUSSIAN, stream.child(chunk_index), count))
+        halves = _sample_batch(q.n, STANDARD_COMPLEX_GAUSSIAN, stream.child(chunk_index), count)
+        batch = _unfold(halves)
         traces = np.empty((kmax, count), dtype=np.complex128)
         power = batch
         traces[0] = np.einsum("tii->t", power)
