@@ -44,11 +44,13 @@ COMMANDS = (
     ["spectrum", "--n", "63", "--seed", "17", "--method", "blocks", "--out", "spectrum_odd.json"],
     ["clt", "--n", "63", "--trials", "20", "--seed", "18", "--poly", "0,0,2,1",
      "--out", "clt_odd.json"],
+    ["circular-law", "--n", "200", "--trials", "2", "--seed", "19", "--out", "circ2.json"],
 )
 
 GOLDEN = {
     "circ.csv": "d7121043fe18cfd3db18dcb6775fc5ead7c196e23b3690340f704721dcc87d42",
     "circ.json": "f6364f1fb6a10cf98183a004931710632dbda18d6a804cfce0bd369c207d3537",
+    "circ2.json": "ab28c190eb49d282ef02136647c32a5e1b82cd0057f24366dadc325ac664878e",
     "clt.csv": "9603338c64273828116fdba4945e072188f1dab400f9faad524e376d14854a8d",
     "clt.json": "34ec37d368a12507b954384440083320f7a7bc7de4d0421191700b392786f2dd",
     "clt.jsonl": "2ddd415630d47357f4fbb7470e88b88a6db82f61b8100c439f0f265184590296",
