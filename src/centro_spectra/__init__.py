@@ -45,9 +45,7 @@ from .moments import (
 )
 from .reduction import BlockReduction, block_reduce, build_orthogonal_q, verify_reduction
 from .sampling import (
-    STANDARD_COMPLEX_GAUSSIAN,
     CentrosymmetricMatrix,
-    EntryDistribution,
     SeedStream,
     is_centrosymmetric,
     moment_self_test,

@@ -3,8 +3,8 @@
 Commands are deterministic given their flags: every randomized command takes
 --seed.  --threads is validated and recorded in the config JSON; trials run
 serially whatever its value, with BLAS supplying the parallelism.  Exit
-codes: 0 success, 1 validation failure (bad flags or values), 2 runtime
-error.
+codes: 0 success, 1 validation failure (bad flags or values, found before
+any trial runs), 2 runtime error (including a failed trial).
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def config_to_json_dict(config: RunConfig) -> dict:
         "n": config.n,
         "trials": config.trials,
         "master_seed": config.master_seed,
-        "dist": config.dist.kind,
+        "dist": STANDARD_COMPLEX_GAUSSIAN.kind,
         "poly": None if config.poly is None else complex_to_pairs(config.poly.coeffs),
         "contour_points": complex_to_pairs(config.contour_points),
         "rho": config.rho,
@@ -108,7 +108,7 @@ def write_trial_jsonl(batch: TrialBatch, path: str):
         for r in batch.records:
             record = {
                 "trial_index": r.trial_index,
-                "seed": r.stream_index,
+                "seed": r.trial_index,
                 "les": None if r.les is None else complex_to_pairs(r.les),
                 "spectral_radius": r.spectral_radius,
                 "resolvent": {_complex_key(z): complex_to_pairs(v) for z, v in r.resolvent.items()},
@@ -173,18 +173,26 @@ def _write_output(text: str, out: str | None):
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_sample(args) -> int:
-    cm = sample_centrosymmetric(
-        args.n, STANDARD_COMPLEX_GAUSSIAN, SeedStream(args.seed, args.stream)
+def _sampled(args):
+    """The one matrix that sample, reduce and spectrum act on."""
+    return sample_centrosymmetric(args.n, SeedStream(args.seed, args.stream))
+
+
+def _guarded_config(args, **fields) -> RunConfig:
+    """RunConfig of the clt and resolvent-cov flags (see ``_add_guard``)."""
+    return RunConfig(
+        n=args.n, trials=args.trials, master_seed=args.seed,
+        rho=args.rho, tau=args.tau, threads=args.threads, **fields,
     )
-    _write_output(matrix_to_json(cm), args.out)
+
+
+def _cmd_sample(args) -> int:
+    _write_output(matrix_to_json(_sampled(args)), args.out)
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    cm = sample_centrosymmetric(
-        args.n, STANDARD_COMPLEX_GAUSSIAN, SeedStream(args.seed, args.stream)
-    )
+    cm = _sampled(args)
     red = block_reduce(cm)
     residual = verify_reduction(cm, red)
     payload = {
@@ -200,9 +208,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    cm = sample_centrosymmetric(
-        args.n, STANDARD_COMPLEX_GAUSSIAN, SeedStream(args.seed, args.stream)
-    )
+    cm = _sampled(args)
     if args.method == "dense":
         spec = eigenvalues_dense(cm.matrix)
     else:
@@ -215,8 +221,6 @@ def _cmd_circular_law(args) -> int:
     config = RunConfig(n=args.n, trials=args.trials, master_seed=args.seed)
     report = run_circular_law_experiment(config)
     if args.format == "csv":
-        if args.out is None:
-            raise ValueError("--format csv needs --out")
         emit_plot_data(report, "scatter", args.out)
         return 0
     payload = {
@@ -240,19 +244,9 @@ def _cmd_circular_law(args) -> int:
 def _cmd_clt(args) -> int:
     if args.poly is None:
         raise ValueError("clt needs --poly")
-    config = RunConfig(
-        n=args.n,
-        trials=args.trials,
-        master_seed=args.seed,
-        poly=TestPolynomial.from_string(args.poly),
-        rho=args.rho,
-        tau=args.tau,
-        threads=args.threads,
-    )
+    config = _guarded_config(args, poly=TestPolynomial.from_string(args.poly))
     batch = run_clt_experiment(config)
     if args.format == "csv":
-        if args.out is None:
-            raise ValueError("--format csv needs --out")
         emit_plot_data(batch, "histogram", args.out, bins=args.bins)
         return 0
     _write_output(json.dumps(_summary_dict(batch)), args.out)
@@ -295,15 +289,7 @@ def _cmd_moments(args) -> int:
 def _cmd_resolvent_cov(args) -> int:
     if args.contour is None:
         raise ValueError("resolvent-cov needs --contour")
-    config = RunConfig(
-        n=args.n,
-        trials=args.trials,
-        master_seed=args.seed,
-        contour_points=_parse_contour(args.contour),
-        rho=args.rho,
-        tau=args.tau,
-        threads=args.threads,
-    )
+    config = _guarded_config(args, contour_points=_parse_contour(args.contour))
     report = run_covariance_kernel_experiment(config)
     payload = {
         "config": config_to_json_dict(config),
@@ -316,7 +302,7 @@ def _cmd_resolvent_cov(args) -> int:
             }
             for p in report.pairs
         ],
-        "guard_rejections": report.guard_rejections,
+        "guard_rejections": report.batch.guard_rejections,
     }
     _write_output(json.dumps(payload), args.out)
     if args.out is not None:
@@ -327,9 +313,7 @@ def _cmd_resolvent_cov(args) -> int:
 def _cmd_self_test(args) -> int:
     failures = []
 
-    report = moment_self_test(
-        STANDARD_COMPLEX_GAUSSIAN, args.draws, SeedStream(args.seed, 0)
-    )
+    report = moment_self_test(args.draws, SeedStream(args.seed, 0))
     print(
         f"entry moments: E[x]={report.mean:.2e} E[x^2]={report.second_moment:.2e} "
         f"E[|x|^2]={report.abs_second_moment:.6f} -> {'ok' if report.ok else 'FAIL'}"
@@ -343,7 +327,7 @@ def _cmd_self_test(args) -> int:
     print("counter identity J^2=I, J=J^T:", "ok" if "counter identity" not in failures else "FAIL")
 
     for n in (8, 9):
-        cm = sample_centrosymmetric(n, STANDARD_COMPLEX_GAUSSIAN, SeedStream(args.seed, n))
+        cm = sample_centrosymmetric(n, SeedStream(args.seed, n))
         residual = verify_reduction(cm, block_reduce(cm))
         print(f"reduction residual n={n}: {residual:.2e}")
         if residual > 1e-12:
@@ -365,6 +349,12 @@ def _add_common(p, trials_default=None):
     if trials_default is not None:
         p.add_argument("--trials", type=int, default=trials_default)
     p.add_argument("--out", type=str, default=None, help="output path (stdout if omitted)")
+
+
+def _add_guard(p):
+    p.add_argument("--rho", type=float, default=2.2)
+    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--threads", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,9 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clt", help="centered-LES fluctuation experiment")
     _add_common(p, trials_default=400)
     p.add_argument("--poly", type=str, default=None, help="a_1,...,a_d (no constant term)")
-    p.add_argument("--rho", type=float, default=2.2)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--threads", type=int, default=None)
+    _add_guard(p)
     p.add_argument("--bins", type=int, default=30)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=_cmd_clt)
@@ -412,9 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolvent-cov", help="resolvent-trace covariance kernel")
     _add_common(p, trials_default=500)
     p.add_argument("--contour", type=str, default=None, help='"re,im;re,im;..."')
-    p.add_argument("--rho", type=float, default=2.2)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--threads", type=int, default=None)
+    _add_guard(p)
     p.set_defaults(handler=_cmd_resolvent_cov)
 
     p = sub.add_parser("self-test", help="entry-law and reduction sanity checks")
@@ -433,6 +419,8 @@ def parse_and_dispatch(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
+        if getattr(args, "format", None) == "csv" and args.out is None:
+            raise ValueError("--format csv needs --out")
         return int(args.handler(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

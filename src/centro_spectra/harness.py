@@ -1,11 +1,15 @@
 """Monte Carlo experiments on the centrosymmetric ensemble.
 
-Three experiments share one trial engine (sample -> block eigensolver ->
-statistics), each trial on its own seed substream.  Trials run one after
-another, in index order, on the calling thread; the parallelism is BLAS's,
-inside each eigensolve.  ``RunConfig.threads`` is validated and recorded in
-the config but does not change how trials run, so results are the same for
-every value of it:
+Three experiments share one trial engine, ``_trial_spectra``: trial t is
+drawn from seed substream t, ``SeedStream(master_seed, t)``, and solved on
+its two blocks, and each experiment computes its statistics from the
+spectra.  A trial that fails (a draw, or a solve that breaks the trace
+contract or returns a non-finite spectrum) raises ``RuntimeError`` naming
+the trial, which the CLI reports as exit code 2 in every experiment.
+Trials run one after another, in index order, on the calling thread; the
+parallelism is BLAS's, inside each eigensolve.  ``RunConfig.threads`` is
+validated and recorded in the config but does not change how trials run,
+so results are the same for every value of it:
 
 * circular law: eigenvalue cloud of one (or a few) large samples against
   the uniform law on the unit disc (radial KS, angular chi-square, outlier
@@ -29,7 +33,7 @@ from scipy import stats as sps
 
 from .eigen import eigenvalues_centrosymmetric, spectral_radius
 from .linalg import Spectrum, as_complex_matrix
-from .sampling import STANDARD_COMPLEX_GAUSSIAN, EntryDistribution, SeedStream, sample_centrosymmetric
+from .sampling import SeedStream, sample_centrosymmetric
 
 __all__ = [
     "CircularLawReport",
@@ -150,7 +154,6 @@ class RunConfig:
     n: int
     trials: int
     master_seed: int
-    dist: EntryDistribution = STANDARD_COMPLEX_GAUSSIAN
     poly: TestPolynomial | None = None
     contour_points: tuple = ()
     rho: float = 2.2
@@ -199,8 +202,7 @@ class SummaryStats:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    trial_index: int
-    stream_index: int
+    trial_index: int  # also the seed substream the trial was drawn from
     spectral_radius: float
     accepted: bool
     les: complex | None = None
@@ -211,12 +213,11 @@ class TrialRecord:
 class TrialBatch:
     config: RunConfig
     records: tuple
-    guard_rejections: int
     summaries: SummaryStats | None = None
 
     @property
-    def accepted_records(self) -> tuple:
-        return tuple(r for r in self.records if r.accepted)
+    def guard_rejections(self) -> int:
+        return sum(1 for r in self.records if not r.accepted)
 
     @property
     def les_values(self) -> np.ndarray:
@@ -231,18 +232,28 @@ class TrialBatch:
         )
 
 
-def _run_trials(config: RunConfig, evaluate_les: bool) -> TrialBatch:
-    """Run all trials serially in index order on the calling thread."""
-    contour = config.contour_points
-    min_abs_z = min((abs(z) for z in contour), default=None)
-    records = []
+def _trial_spectra(config: RunConfig):
+    """Yield (t, spectrum) for every trial, serially in index order.
+
+    Trial t is drawn from ``SeedStream(config.master_seed, t)`` and solved
+    through the block path; any failure is re-raised as RuntimeError.
+    """
     for t in range(config.trials):
-        stream = SeedStream(config.master_seed, t)
         try:
-            cm = sample_centrosymmetric(config.n, config.dist, stream)
+            cm = sample_centrosymmetric(config.n, SeedStream(config.master_seed, t))
             spec = eigenvalues_centrosymmetric(cm)
         except Exception as exc:
             raise RuntimeError(f"trial {t} failed: {exc}") from exc
+        yield t, spec
+
+
+def _run_trials(config: RunConfig) -> TrialBatch:
+    """Guard and evaluate every trial: L(P) when ``config.poly`` is set and
+    Tr R_z at every contour point, on accepted trials only."""
+    contour = config.contour_points
+    min_abs_z = min((abs(z) for z in contour), default=None)
+    records = []
+    for t, spec in _trial_spectra(config):
         radius = spectral_radius(spec)
         accepted = radius <= config.rho
         if accepted and min_abs_z is not None:
@@ -252,23 +263,19 @@ def _run_trials(config: RunConfig, evaluate_les: bool) -> TrialBatch:
         les_value = None
         resolvent: dict = {}
         if accepted:
-            if evaluate_les:
+            if config.poly is not None:
                 les_value = les(spec, config.poly)
             resolvent = {z: resolvent_trace(spec, z) for z in contour}
         records.append(
             TrialRecord(
                 trial_index=t,
-                stream_index=stream.stream_index,
                 spectral_radius=radius,
                 accepted=accepted,
                 les=les_value,
                 resolvent=resolvent,
             )
         )
-    rejections = sum(1 for r in records if not r.accepted)
-    return TrialBatch(
-        config=config, records=tuple(records), guard_rejections=rejections
-    )
+    return TrialBatch(config=config, records=tuple(records))
 
 
 def _summarize(values: np.ndarray, poly: TestPolynomial) -> SummaryStats:
@@ -302,7 +309,7 @@ def run_clt_experiment(config: RunConfig) -> TrialBatch:
         raise ValueError("run_clt_experiment needs config.poly")
     if config.trials < 2:
         raise ValueError("need at least 2 trials to estimate a variance")
-    batch = _run_trials(config, evaluate_les=True)
+    batch = _run_trials(config)
     values = batch.les_values
     if len(values) == 0:
         raise RuntimeError("all trials rejected by the norm guard")
@@ -358,10 +365,7 @@ def run_circular_law_experiment(config: RunConfig) -> CircularLawReport:
     if config.n < 200:
         raise ValueError("circular-law experiment needs n >= 200")
     samples = []
-    for t in range(config.trials):
-        stream = SeedStream(config.master_seed, t)
-        cm = sample_centrosymmetric(config.n, config.dist, stream)
-        spec = eigenvalues_centrosymmetric(cm)
+    for t, spec in _trial_spectra(config):
         lam = spec.eigenvalues
         stat, pvalue = angular_chisquare(np.angle(lam))
         samples.append(
@@ -392,10 +396,6 @@ class CovarianceKernelReport:
     pairs: tuple
     batch: TrialBatch
 
-    @property
-    def guard_rejections(self) -> int:
-        return self.batch.guard_rejections
-
 
 def run_covariance_kernel_experiment(config: RunConfig) -> CovarianceKernelReport:
     """Empirical Cov(Tr R_z, conj Tr R_eta) against the limiting kernel.
@@ -407,15 +407,14 @@ def run_covariance_kernel_experiment(config: RunConfig) -> CovarianceKernelRepor
         raise ValueError("run_covariance_kernel_experiment needs contour points")
     if config.trials < 2:
         raise ValueError("need at least 2 trials to estimate a covariance")
-    batch = _run_trials(config, evaluate_les=config.poly is not None)
-    accepted = batch.accepted_records
-    if len(accepted) < 2:
+    batch = _run_trials(config)
+    t = len(batch.records) - batch.guard_rejections
+    if t < 2:
         raise RuntimeError("fewer than 2 trials survived the norm guard")
     centered = {}
     for z in config.contour_points:
         values = batch.resolvent_values(z)
         centered[z] = values - values.mean()
-    t = len(accepted)
     pairs = []
     for z in config.contour_points:
         for eta in config.contour_points:

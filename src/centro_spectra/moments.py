@@ -40,7 +40,7 @@ from math import factorial
 import numpy as np
 
 from .reduction import split_blocks
-from .sampling import STANDARD_COMPLEX_GAUSSIAN, EntryDistribution, SeedStream, _sample_batch
+from .sampling import STANDARD_COMPLEX_GAUSSIAN, SeedStream, _sample_batch
 
 __all__ = [
     "ENUMERATION_BUDGET",
@@ -117,7 +117,7 @@ def exact_mixed_trace_moment(q: MomentQuery, method: str = "auto") -> Fraction:
     Whenever k != l some free variable must appear with unequal conjugated
     and unconjugated multiplicity, so every monomial vanishes and the result
     is exactly zero (this covers l = 0).  The moment rule is that of the
-    circular Gaussian, the one law EntryDistribution admits.
+    circular Gaussian, the one law the sampler draws from.
     """
     if method not in ("auto", "enumeration", "matchings"):
         raise ValueError(f"unknown method {method!r}")
@@ -325,12 +325,7 @@ def _matching_exact(n: int, k: int) -> Fraction:
     return Fraction(total, n**k)
 
 
-def mc_trace_moment(
-    q: MomentQuery,
-    trials: int,
-    stream: SeedStream,
-    dist: EntryDistribution = STANDARD_COMPLEX_GAUSSIAN,
-) -> McEstimate:
+def mc_trace_moment(q: MomentQuery, trials: int, stream: SeedStream) -> McEstimate:
     """Monte Carlo estimate of E[Tr(M^k) Tr(conj(M)^l)] with standard error.
 
     Trials are drawn in chunks of _MC_CHUNK, chunk i from substream
@@ -345,7 +340,7 @@ def mc_trace_moment(
     counts = [min(_MC_CHUNK, trials - start) for start in range(0, trials, _MC_CHUNK)]
     with ThreadPoolExecutor(min(os.cpu_count() or 1, len(counts))) as pool:
         partials = list(pool.map(
-            lambda i: _mc_chunk(q, dist, stream.child(i), counts[i]), range(len(counts))
+            lambda i: _mc_chunk(q, stream.child(i), counts[i]), range(len(counts))
         ))
     sum_x = 0.0 + 0.0j
     sum_abs2 = 0.0
@@ -357,11 +352,9 @@ def mc_trace_moment(
     return McEstimate(mean=complex(mean), se=float(np.sqrt(variance / trials)), trials=trials)
 
 
-def _mc_chunk(
-    q: MomentQuery, dist: EntryDistribution, stream: SeedStream, count: int
-) -> tuple[complex, float]:
+def _mc_chunk(q: MomentQuery, stream: SeedStream, count: int) -> tuple[complex, float]:
     """(sum of x, sum of |x|^2) over one chunk, x = Tr(M^k) conj(Tr(M^l))."""
-    t1, t2 = split_blocks(_sample_batch(q.n, dist, stream, count))
+    t1, t2 = split_blocks(_sample_batch(q.n, STANDARD_COMPLEX_GAUSSIAN, stream, count))
     degrees = {q.k, q.l} - {0}
     tr1, tr2 = _power_traces(t1, degrees), _power_traces(t2, degrees)
     x = tr1[q.k] + tr2[q.k]
@@ -395,7 +388,7 @@ def moment_result(
     """Bundle the exact value, optional MC cross-check and the n->inf limit."""
     exact = exact_mixed_trace_moment(q, method=method)
     mc = None
-    if mc_trials:
+    if mc_trials is not None:
         mc = mc_trace_moment(q, mc_trials, stream if stream is not None else SeedStream(0, 0))
     prediction = asymptotic_prediction(q.k, q.l) if q.l >= 1 else 0.0
     return MomentResult(

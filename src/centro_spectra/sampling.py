@@ -45,7 +45,7 @@ class EntryDistribution:
 
     Only the standard circular complex Gaussian is implemented: real and
     imaginary parts independent N(0, 1/2), giving E[x]=0, E[x^2]=0,
-    E[|x|^2]=1.  The ``kind`` field is the extension point.
+    E[|x|^2]=1.  Every sampler draws from ``STANDARD_COMPLEX_GAUSSIAN``.
     """
 
     kind: str = "standard_complex_gaussian"
@@ -103,7 +103,6 @@ class CentrosymmetricMatrix:
     n: int
     seed: int
     stream_index: int
-    dist: EntryDistribution
 
     def __post_init__(self):
         half = np.asarray(self.half, dtype=np.complex128)
@@ -121,12 +120,12 @@ class CentrosymmetricMatrix:
     @classmethod
     def from_matrix(cls, matrix) -> "CentrosymmetricMatrix":
         """Wrap an outside square matrix, checked to be exactly centrosymmetric
-        (provenance: seed 0, stream 0, the Gaussian law)."""
+        (provenance: seed 0, stream 0)."""
         m = as_complex_matrix(matrix, require_square=True)
         if not is_centrosymmetric(m, tol=0.0):
             raise ValueError("matrix is not centrosymmetric")
         n = m.shape[0]
-        return cls(m[: (n + 1) // 2].copy(), n, 0, 0, STANDARD_COMPLEX_GAUSSIAN)
+        return cls(m[: (n + 1) // 2].copy(), n, 0, 0)
 
 
 def _unfold(half: np.ndarray) -> np.ndarray:
@@ -159,14 +158,12 @@ def _sample_batch(n: int, dist: EntryDistribution, stream: SeedStream, count: in
 
 
 def sample_centrosymmetric(
-    n: int,
-    dist: EntryDistribution = STANDARD_COMPLEX_GAUSSIAN,
-    stream: SeedStream = SeedStream(0, 0),
+    n: int, stream: SeedStream = SeedStream(0, 0)
 ) -> CentrosymmetricMatrix:
     """Draw one n-by-n random centrosymmetric matrix: the count=1 batch."""
-    half = _sample_batch(n, dist, stream, 1)[0]
+    half = _sample_batch(n, STANDARD_COMPLEX_GAUSSIAN, stream, 1)[0]
     return CentrosymmetricMatrix(
-        half=half, n=n, seed=stream.master_seed, stream_index=stream.stream_index, dist=dist
+        half=half, n=n, seed=stream.master_seed, stream_index=stream.stream_index
     )
 
 
@@ -198,17 +195,15 @@ class MomentSelfTest:
         object.__setattr__(self, "ok", ok)
 
 
-def moment_self_test(
-    dist: EntryDistribution, draws: int, stream: SeedStream
-) -> MomentSelfTest:
-    """Check E[x]=0, E[x^2]=0, E[|x|^2]=1 empirically.
+def moment_self_test(draws: int, stream: SeedStream) -> MomentSelfTest:
+    """Check E[x]=0, E[x^2]=0, E[|x|^2]=1 empirically for the entry law.
 
     Standard errors are empirical, so the check does not assume the law it
     is verifying.
     """
     if draws < 10**4:
         raise ValueError(f"need at least 10^4 draws, got {draws}")
-    x = dist.draw(draws, stream.generator())
+    x = STANDARD_COMPLEX_GAUSSIAN.draw(draws, stream.generator())
 
     def _mean_se(samples):
         mu = samples.mean()
@@ -234,7 +229,7 @@ def matrix_to_json(cm: CentrosymmetricMatrix) -> str:
     row-major over the full matrix}."""
     entries = complex_to_pairs(cm.matrix.ravel())
     return json.dumps(
-        {"n": cm.n, "seed": cm.seed, "stream_index": cm.stream_index, "dist": cm.dist.kind,
-         "entries": entries}
+        {"n": cm.n, "seed": cm.seed, "stream_index": cm.stream_index,
+         "dist": STANDARD_COMPLEX_GAUSSIAN.kind, "entries": entries}
     )
 

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from centro_spectra import harness
 from centro_spectra.cli import (
     config_to_json_dict,
     emit_plot_data,
@@ -143,6 +148,85 @@ def test_unwritable_output_is_runtime_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["circular-law", "--n", "200", "--trials", "2"],
+    ["clt", "--n", "8", "--trials", "4", "--poly", "1"],
+    ["resolvent-cov", "--n", "8", "--trials", "4", "--contour", "2,0"],
+], ids=lambda argv: argv[0])
+def test_failed_trial_is_runtime_error_in_every_experiment(monkeypatch, capsys, argv):
+    def broken_solver(cm):
+        raise ValueError("trace contract violated")
+
+    monkeypatch.setattr(harness, "eigenvalues_centrosymmetric", broken_solver)
+    code, _, err = _run(argv, capsys)
+    assert code == 2
+    assert "trial 0 failed: trace contract violated" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["circular-law", "--n", "1000", "--format", "csv"],
+    ["clt", "--n", "256", "--trials", "40", "--poly", "1", "--format", "csv"],
+], ids=lambda argv: argv[0])
+def test_csv_without_out_fails_before_sampling(monkeypatch, capsys, argv):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the flags were checked")
+
+    monkeypatch.setattr(harness, "sample_centrosymmetric", no_sampling)
+    code, _, err = _run(argv, capsys)
+    assert code == 1
+    assert "--format csv needs --out" in err
+
+
+# A valid argv per command; each malformed case below corrupts one flag.
+_VALID_FLAGS = {
+    "sample": {"--n": "4", "--seed": "1", "--stream": "0"},
+    "reduce": {"--n": "4", "--seed": "1", "--stream": "0"},
+    "spectrum": {"--n": "4", "--seed": "1", "--stream": "0"},
+    "circular-law": {"--n": "200", "--trials": "1", "--seed": "1"},
+    "clt": {"--n": "8", "--trials": "4", "--seed": "1", "--poly": "1"},
+    "resolvent-cov": {"--n": "8", "--trials": "4", "--seed": "1", "--contour": "2,0"},
+    "moments": {"--n": "4", "--k": "2", "--seed": "1", "--mc-trials": "1000"},
+}
+_NON_POSITIVE = st.integers(-10**6, 0).map(str)
+_NEGATIVE = st.integers(-2**70, -1).map(str)
+_BAD_POLY = st.one_of(
+    st.text(alphabet="abcxyz ,;.+"),  # no digits, "nan" or "inf": never a number
+    st.sampled_from(["nan", "inf", "-inf", "1,nan", "2,-inf", "1e999", "0,1e400"]),
+)
+_BAD_CONTOUR = st.one_of(
+    st.text(alphabet="ab ,;"),
+    st.sampled_from(["2", "2,0,1", "2;0", "2,0;x", "nan,0", "0,inf", "1e999,0", "0.5,0",
+                     "1.2,0", ";;"]),
+)
+
+
+@st.composite
+def _malformed_argv(draw):
+    command = draw(st.sampled_from(sorted(_VALID_FLAGS)))
+    flags = dict(_VALID_FLAGS[command])
+    bad = {"--n": _NON_POSITIVE, "--seed": _NEGATIVE}
+    if "--stream" in flags:
+        bad["--stream"] = _NEGATIVE
+    if "--trials" in flags:  # the two covariance-type experiments need 2 trials
+        bad["--trials"] = st.integers(-10**6, 0 if command == "circular-law" else 1).map(str)
+    if command == "clt":
+        bad["--poly"] = _BAD_POLY
+    if command == "resolvent-cov":
+        bad["--contour"] = _BAD_CONTOUR
+    flag = draw(st.sampled_from(sorted(bad)))
+    flags[flag] = draw(bad[flag])
+    return [command, *(part for item in flags.items() for part in item)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_malformed_argv())
+def test_malformed_inputs_are_validation_failures_and_write_nothing(argv):
+    with tempfile.TemporaryDirectory() as workdir:
+        out = Path(workdir) / "out.json"
+        assert parse_and_dispatch([*argv, "--out", str(out)]) == 1, argv
+        assert list(Path(workdir).iterdir()) == [], argv
+
+
 def test_circular_law_scatter_csv(tmp_path, capsys):
     path = tmp_path / "scatter.csv"
     code, _, _ = _run(
@@ -203,9 +287,10 @@ def test_config_json_round_trip_reproduces_results():
         contour_points=(2.5 + 0j,), rho=2.2, tau=0.5, threads=2,
     )
     obj = json.loads(json.dumps(config_to_json_dict(config)))
-    assert set(obj) == {f.name for f in dataclasses.fields(RunConfig)}
+    # "dist" names the entry law, which is not a RunConfig field: there is only one
+    assert set(obj) == {f.name for f in dataclasses.fields(RunConfig)} | {"dist"}
     assert (obj["n"], obj["trials"], obj["master_seed"], obj["threads"]) == (24, 12, 5, 2)
-    assert obj["dist"] == config.dist.kind
+    assert obj["dist"] == "standard_complex_gaussian"
     assert tuple(complex_from_pairs(obj["poly"])) == config.poly.coeffs
     assert tuple(complex_from_pairs(obj["contour_points"])) == config.contour_points
     assert (obj["rho"], obj["tau"]) == (config.rho, config.tau)

@@ -239,6 +239,9 @@ def test_mc_off_diagonal_near_zero():
 def test_mc_requires_enough_trials():
     with pytest.raises(ValueError):
         mc_trace_moment(MomentQuery(4, 1, 1), 100, SeedStream(0, 0))
+    for trials in (0, 500):  # 0 is a count too, not "no Monte Carlo"
+        with pytest.raises(ValueError):
+            moment_result(MomentQuery(4, 1, 1), mc_trials=trials)
 
 
 def test_mc_is_reproducible():

@@ -141,6 +141,6 @@ def test_split_blocks_on_a_stack_equals_block_reduce_per_matrix():
         halves = _sample_batch(n, STANDARD_COMPLEX_GAUSSIAN, SeedStream(31, n), 3)
         t1, t2 = split_blocks(halves)
         for i, half in enumerate(halves):
-            red = block_reduce(CentrosymmetricMatrix(half, n, 31, n, STANDARD_COMPLEX_GAUSSIAN))
+            red = block_reduce(CentrosymmetricMatrix(half, n, 31, n))
             assert np.array_equal(t1[i].view(np.int64), red.t1.view(np.int64))
             assert np.array_equal(t2[i].view(np.int64), red.t2.view(np.int64))

@@ -87,7 +87,7 @@ def test_half_sampler_matches_mask_sampler_bit_for_bit(n, stream, count):
     full = _unfold(_sample_batch(n, dist, seeds, count))
     assert np.array_equal(_bits(full), _bits(_reference_mask_sampler(n, dist, seeds, count)))
     if n >= 2:
-        red = block_reduce(sample_centrosymmetric(n, dist, seeds))
+        red = block_reduce(sample_centrosymmetric(n, seeds))
         t1, t2 = _reference_blocks(full[0])
         assert np.array_equal(_bits(red.t1), _bits(t1))
         assert np.array_equal(_bits(red.t2), _bits(t2))
@@ -134,7 +134,7 @@ def test_entry_scaling_variance():
 
 
 def test_moment_self_test_million_draws():
-    report = moment_self_test(STANDARD_COMPLEX_GAUSSIAN, 10**6, SeedStream(1, 0))
+    report = moment_self_test(10**6, SeedStream(1, 0))
     assert abs(report.mean) <= 5e-3
     assert abs(report.second_moment) <= 5e-3
     assert 0.995 <= report.abs_second_moment <= 1.005
@@ -143,7 +143,7 @@ def test_moment_self_test_million_draws():
 
 def test_moment_self_test_rejects_tiny_sample():
     with pytest.raises(ValueError):
-        moment_self_test(STANDARD_COMPLEX_GAUSSIAN, 100, SeedStream(0, 0))
+        moment_self_test(100, SeedStream(0, 0))
 
 
 def test_json_round_trip_bit_identical():
@@ -178,7 +178,7 @@ def test_constructor_rejects_asymmetric_matrix():
     assert cm.half.shape == (2, 3) and cm.n == 3
     for half in (np.zeros((1, 3)), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])):
         with pytest.raises(ValueError):  # wrong shape; a middle row that is not a palindrome
-            CentrosymmetricMatrix(half=half, n=3, seed=0, stream_index=0, dist=STANDARD_COMPLEX_GAUSSIAN)
+            CentrosymmetricMatrix(half=half, n=3, seed=0, stream_index=0)
 
 
 def test_equality_is_identity_and_never_raises():
