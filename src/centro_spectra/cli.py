@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -84,20 +85,9 @@ def config_to_json_dict(config: RunConfig) -> dict:
 
 def _summary_dict(batch: TrialBatch) -> dict:
     s = batch.summaries
-    summaries = None
-    if s is not None:
-        summaries = {
-            "mean": complex_to_pairs(s.mean),
-            "variance_real": s.variance_real,
-            "variance_modulus": s.variance_modulus,
-            "skewness": s.skewness,
-            "excess_kurtosis": s.excess_kurtosis,
-            "ks_statistic": s.ks_statistic,
-            "predicted_sigma2": s.predicted_sigma2,
-        }
     return {
         "config": config_to_json_dict(batch.config),
-        "summaries": summaries,
+        "summaries": None if s is None else {**asdict(s), "mean": complex_to_pairs(s.mean)},
         "guard_rejections": batch.guard_rejections,
     }
 

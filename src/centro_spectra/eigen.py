@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .linalg import Spectrum, as_complex_matrix, complex_to_pairs
 from .reduction import block_reduce
@@ -65,13 +64,13 @@ def eigenvalues_dense(m, tol: float = 1e-8) -> Spectrum:
     return Spectrum(eigenvalues=lam, source_dim=n)
 
 
-def eigenvalues_centrosymmetric(cm: CentrosymmetricMatrix, tol: float = 1e-8) -> Spectrum:
+def eigenvalues_centrosymmetric(cm: CentrosymmetricMatrix) -> Spectrum:
     """Eigenvalues of M as the union of the spectra of T1 and T2."""
     if cm.n == 1:
         return Spectrum(eigenvalues=cm.half.ravel().copy(), source_dim=1)
     red = block_reduce(cm)
-    lam1 = eigenvalues_dense(red.t1, tol=tol)
-    lam2 = eigenvalues_dense(red.t2, tol=tol)
+    lam1 = eigenvalues_dense(red.t1)
+    lam2 = eigenvalues_dense(red.t2)
     return Spectrum(
         eigenvalues=np.concatenate([lam1.eigenvalues, lam2.eigenvalues]),
         source_dim=cm.n,
@@ -94,6 +93,8 @@ def match_spectra(a: Spectrum, b: Spectrum) -> float:
     against {0.3, -0.4} gives 0.9 greedily and 0.4 here.  O(n^2) memory,
     O(n^3) time.
     """
+    from scipy.optimize import linear_sum_assignment
+
     va = np.asarray(a.eigenvalues, dtype=np.complex128)
     vb = np.asarray(b.eigenvalues, dtype=np.complex128)
     if len(va) != len(vb):

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import chdtrc, ndtr
 
 from .eigen import eigenvalues_centrosymmetric, spectral_radius
 from .linalg import Spectrum, as_complex_matrix
@@ -278,6 +278,15 @@ def _run_trials(config: RunConfig) -> TrialBatch:
     return TrialBatch(config=config, records=tuple(records))
 
 
+def _ks_distance(sample, cdf) -> float:
+    """Two-sided KS distance of a sample to a continuous CDF: the larger of
+    max(i/n - F) and max(F - (i-1)/n) over the sorted sample."""
+    x = np.sort(np.asarray(sample, dtype=np.float64))
+    n = len(x)
+    f = cdf(x)
+    return float(max((np.arange(1.0, n + 1) / n - f).max(), (f - np.arange(0.0, n) / n).max()))
+
+
 def _summarize(values: np.ndarray, poly: TestPolynomial) -> SummaryStats:
     pred = predicted_sigma2(poly)
     mean = values.mean()
@@ -286,14 +295,19 @@ def _summarize(values: np.ndarray, poly: TestPolynomial) -> SummaryStats:
     variance_modulus = float((np.abs(centered) ** 2).sum() / (t - 1))
     variance_real = float(np.var(centered.real, ddof=1))
     real = centered.real
-    ks = sps.kstest(real, "norm", args=(0.0, np.sqrt(pred / 2.0))).statistic
+    # skewness and excess kurtosis as scipy.stats computes them (NaN when flat)
+    d = real - real.mean()
+    d2 = d**2
+    m2 = d2.mean()
+    flat = m2 <= (np.finfo(np.float64).eps * real.mean()) ** 2
+    scale = np.sqrt(pred / 2.0)  # 0 only if sum 2k|a_k|^2 underflows: no reference law
     return SummaryStats(
         mean=complex(mean),
         variance_real=variance_real,
         variance_modulus=variance_modulus,
-        skewness=float(sps.skew(real)),
-        excess_kurtosis=float(sps.kurtosis(real)),
-        ks_statistic=float(ks),
+        skewness=np.nan if flat else float((d2 * d).mean() / m2**1.5),
+        excess_kurtosis=np.nan if flat else float((d2**2).mean() / m2**2.0 - 3),
+        ks_statistic=_ks_distance(real, lambda x: ndtr(x / scale)) if scale > 0 else np.nan,
         predicted_sigma2=pred,
     )
 
@@ -319,24 +333,17 @@ def run_clt_experiment(config: RunConfig) -> TrialBatch:
 
 def radial_ks_statistic(radii: np.ndarray) -> float:
     """KS distance of |lambda| samples to the circular-law radial CDF r^2."""
-    r = np.sort(np.asarray(radii, dtype=np.float64))
-    n = len(r)
-    if n == 0:
-        raise ValueError("empty radius sample")
-    cdf = np.minimum(r * r, 1.0)
-    i = np.arange(1, n + 1)
-    return float(max(np.abs(i / n - cdf).max(), np.abs((i - 1) / n - cdf).max()))
+    return _ks_distance(radii, lambda r: np.minimum(r * r, 1.0))
 
 
-def angular_chisquare(angles: np.ndarray, sectors: int = 16) -> tuple[float, float]:
-    """Chi-square uniformity test of arg(lambda) over equal sectors."""
+def angular_chisquare(angles: np.ndarray) -> tuple[float, float]:
+    """Chi-square uniformity test of arg(lambda) over 16 equal sectors."""
     # fold exactly-pi angles into [-pi, pi) so no sample falls off the grid
     folded = np.mod(np.asarray(angles, dtype=np.float64) + np.pi, 2 * np.pi) - np.pi
-    counts, _ = np.histogram(folded, bins=sectors, range=(-np.pi, np.pi))
-    expected = len(folded) / sectors
+    counts, _ = np.histogram(folded, bins=16, range=(-np.pi, np.pi))
+    expected = len(folded) / 16
     stat = float(((counts - expected) ** 2 / expected).sum())
-    pvalue = float(sps.chi2.sf(stat, df=sectors - 1))
-    return stat, pvalue
+    return stat, float(chdtrc(15, stat))
 
 
 @dataclass(frozen=True)

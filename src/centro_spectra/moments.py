@@ -386,10 +386,10 @@ def moment_result(
     method: str = "auto",
 ) -> MomentResult:
     """Bundle the exact value, optional MC cross-check and the n->inf limit."""
-    exact = exact_mixed_trace_moment(q, method=method)
     mc = None
-    if mc_trials is not None:
+    if mc_trials is not None:  # first, so a bad count fails before the exact oracle runs
         mc = mc_trace_moment(q, mc_trials, stream if stream is not None else SeedStream(0, 0))
+    exact = exact_mixed_trace_moment(q, method=method)
     prediction = asymptotic_prediction(q.k, q.l) if q.l >= 1 else 0.0
     return MomentResult(
         query=q, exact_value=exact, mc_estimate=mc, asymptotic_prediction=prediction

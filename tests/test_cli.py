@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -300,3 +303,42 @@ def test_self_test_quick(capsys):
     code, out, _ = _run(["self-test", "--draws", "20000", "--seed", "0"], capsys)
     assert code == 0
     assert "self-test passed" in out
+
+
+_IMPORT_BOUNDARY_RUNNER = """
+import contextlib, io, json, sys
+import centro_spectra
+from centro_spectra.cli import parse_and_dispatch
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(parse_and_dispatch(argv))
+heavy = sorted(m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules)
+print(json.dumps({"codes": codes, "heavy": heavy}))
+"""
+
+
+def test_commands_leave_scipy_stats_and_optimize_unimported(tmp_path):
+    out = str(tmp_path)
+    commands = [
+        ["clt", "--n", "16", "--trials", "6", "--seed", "1", "--poly", "0,1",
+         "--out", f"{out}/clt.json"],
+        ["circular-law", "--n", "200", "--seed", "2", "--out", f"{out}/circ.json"],
+        ["circular-law", "--n", "200", "--seed", "2", "--format", "csv",
+         "--out", f"{out}/circ.csv"],
+        ["resolvent-cov", "--n", "16", "--trials", "6", "--seed", "3", "--contour", "2,0;0,2",
+         "--out", f"{out}/cov.json"],
+        ["moments", "--n", "4", "--k", "2", "--l", "2", "--mc-trials", "1000", "--seed", "4",
+         "--out", f"{out}/mom.json"],
+        ["self-test", "--draws", "20000", "--seed", "5"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BOUNDARY_RUNNER, json.dumps(commands)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0] * len(commands), done.stderr
+    assert result["heavy"] == []

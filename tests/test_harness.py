@@ -1,8 +1,16 @@
+import contextlib
+import io
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats as sps
 
 from centro_spectra.eigen import eigenvalues_dense
 from centro_spectra.harness import (
+    _summarize,
     RunConfig,
     TestPolynomial,
     angular_chisquare,
@@ -179,6 +187,53 @@ def test_radial_ks_on_synthetic_disc():
     assert radial_ks_statistic(radii) <= 0.04
     stat, pvalue = angular_chisquare(rng.uniform(-np.pi, np.pi, size=2000))
     assert pvalue >= 0.01
+
+
+def _draw_values(kind, size, rng):
+    if kind == "constant":
+        return np.full(size, 0.1 + 0.2j)
+    if kind == "ties":
+        return rng.integers(-3, 4, size) + 1j * rng.integers(-3, 4, size)
+    draw = rng.standard_t(3, size=(2, size)) if kind == "heavy" else rng.standard_normal((2, size))
+    return 10.0 ** rng.uniform(-3, 3) * (draw[0] + 1j * draw[1]) + rng.uniform(-5, 5)
+
+
+def _same(ours, reference):
+    return ours == reference or (np.isnan(ours) and np.isnan(reference))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "heavy", "ties", "constant"]),
+    size=st.integers(3, 2000),
+    seed=st.integers(0, 2**32 - 1),
+    coeffs=st.lists(st.floats(-3, 3).filter(lambda a: a != 0), min_size=1, max_size=4),
+)
+@example(kind="constant", size=3, seed=0, coeffs=[1.0])
+@example(kind="constant", size=2000, seed=0, coeffs=[1.0])
+def test_statistics_equal_scipy_stats_bit_for_bit(kind, size, seed, coeffs):
+    rng = np.random.default_rng(seed)
+    values = _draw_values(kind, size, rng)
+    poly = TestPolynomial(coeffs=tuple(coeffs))
+    radii = np.abs(values) / max(np.abs(values).max(), 1e-300) * rng.uniform(0.8, 1.2)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        summary = _summarize(values, poly)
+        radial = radial_ks_statistic(radii)
+        chi2, pvalue = angular_chisquare(np.angle(values))
+    assert stdout.getvalue() == ""
+
+    real = (values - values.mean()).real
+    scale = np.sqrt(predicted_sigma2(poly) / 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on flat samples and a zero scale
+        assert _same(summary.skewness, sps.skew(real))
+        assert _same(summary.excess_kurtosis, sps.kurtosis(real))
+        assert _same(summary.ks_statistic, sps.kstest(real, "norm", args=(0.0, scale)).statistic)
+    assert radial == sps.kstest(radii, lambda r: np.minimum(r * r, 1.0)).statistic
+    assert pvalue == sps.chi2.sf(chi2, 15)
+    if kind == "constant":
+        assert np.isnan(summary.skewness) and np.isnan(summary.excess_kurtosis)
 
 
 def test_circular_law_requires_large_n():

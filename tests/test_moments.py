@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centro_spectra import moments
 from centro_spectra.moments import (
     _MC_CHUNK,
     ENUMERATION_BUDGET,
@@ -242,6 +243,16 @@ def test_mc_requires_enough_trials():
     for trials in (0, 500):  # 0 is a count too, not "no Monte Carlo"
         with pytest.raises(ValueError):
             moment_result(MomentQuery(4, 1, 1), mc_trials=trials)
+
+
+def test_bad_mc_trials_fail_before_the_exact_oracle(monkeypatch):
+    def exact_must_not_run(*args, **kwargs):
+        raise AssertionError("exact oracle ran before the trial count was checked")
+
+    monkeypatch.setattr(moments, "exact_mixed_trace_moment", exact_must_not_run)
+    for trials in (0, 500):
+        with pytest.raises(ValueError):
+            moment_result(MomentQuery(11, 6, 6), mc_trials=trials)
 
 
 def test_mc_is_reproducible():
