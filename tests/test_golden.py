@@ -45,6 +45,7 @@ COMMANDS = (
     ["clt", "--n", "63", "--trials", "20", "--seed", "18", "--poly", "0,0,2,1",
      "--out", "clt_odd.json"],
     ["circular-law", "--n", "200", "--trials", "2", "--seed", "19", "--out", "circ2.json"],
+    ["moments", "--n", "7", "--k", "4", "--l", "4", "--out", "moments_k4.json"],
 )
 
 GOLDEN = {
@@ -59,6 +60,7 @@ GOLDEN = {
     "cov.json": "c7d0b79893d730ff53841ef8f48206a8ea5b6cd9e474b3670737da5f1c267323",
     "cov.jsonl": "dfb8ecac4dc8b45474af2ce9ec90a525f9816f96d3cfb4b1c1cf28caf6c1a1a3",
     "moments_exact.json": "cd8c1a52c363af8314663a8fd99afe94e88f4dc72be5fc53c8850a84cd6af93b",
+    "moments_k4.json": "4ea3e5caa38aad942ac40708835acaab51b8baa2431ba1f067ac4b2b6ec0897c",
     "moments_mc.json": "4979ec315eaf980db86e1bd4aa318faee771f6333bb092aa79b8d9a415731a9e",
     "reduce.json": "b57828cb590869cfa068366ea9b109b189e29b4fe99928d9b624f9de96c8d336",
     "sample.json": "503b940f919d53686687a0a0362ed3d52ac6a4b94af03d365fc84951cdfef98a",
