@@ -43,7 +43,7 @@ def eigenvalues_dense(m, tol: float = 1e-8) -> Spectrum:
 
     (Frobenius norm, an upper bound on the operator norm).
     """
-    m = as_complex_matrix(m, require_square=True)
+    m = as_complex_matrix(m)
     n = m.shape[0]
     if n == 0:
         return Spectrum(eigenvalues=np.empty(0, dtype=np.complex128), source_dim=0)

@@ -74,6 +74,8 @@ class TestPolynomial:
             raise ValueError("leading coefficient a_d must be nonzero")
         if not all(np.isfinite([a.real, a.imag]).all() for a in coeffs):
             raise ValueError("coefficients must be finite")
+        if not predicted_sigma2(self) / 2.0 > 0:
+            raise ValueError("sum 2k|a_k|^2 underflows to 0: the LES has no reference law")
 
     @property
     def degree(self) -> int:
@@ -132,7 +134,7 @@ def resolvent_series_gap(matrix, spec: Spectrum, z: complex, terms: int = 8) -> 
     truncated power-series route; small whenever |z| comfortably exceeds
     the spectral radius.
     """
-    m = as_complex_matrix(matrix, require_square=True)
+    m = as_complex_matrix(matrix)
     z = complex(z)
     n = m.shape[0]
     series = n / z
@@ -300,14 +302,14 @@ def _summarize(values: np.ndarray, poly: TestPolynomial) -> SummaryStats:
     d2 = d**2
     m2 = d2.mean()
     flat = m2 <= (np.finfo(np.float64).eps * real.mean()) ** 2
-    scale = np.sqrt(pred / 2.0)  # 0 only if sum 2k|a_k|^2 underflows: no reference law
+    scale = np.sqrt(pred / 2.0)
     return SummaryStats(
         mean=complex(mean),
         variance_real=variance_real,
         variance_modulus=variance_modulus,
         skewness=np.nan if flat else float((d2 * d).mean() / m2**1.5),
         excess_kurtosis=np.nan if flat else float((d2**2).mean() / m2**2.0 - 3),
-        ks_statistic=_ks_distance(real, lambda x: ndtr(x / scale)) if scale > 0 else np.nan,
+        ks_statistic=_ks_distance(real, lambda x: ndtr(x / scale)),
         predicted_sigma2=pred,
     )
 

@@ -1,4 +1,4 @@
-"""Dense complex matrix helpers shared by every other module.
+"""Dense complex matrix helpers shared by sampling, reduction, eigen, harness and cli.
 
 Matrices are plain numpy arrays of complex128, treated as immutable values:
 every function returns fresh arrays and never mutates its inputs.
@@ -30,12 +30,12 @@ class PowerIterationError(RuntimeError):
         self.iterations = int(iterations)
 
 
-def as_complex_matrix(a, require_square: bool = False) -> np.ndarray:
-    """Coerce to a 2-D complex128 array and validate finiteness."""
+def as_complex_matrix(a) -> np.ndarray:
+    """Coerce to a square complex128 matrix and validate finiteness."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if require_square and m.shape[0] != m.shape[1]:
+    if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise ValueError("matrix has non-finite entries")
@@ -84,7 +84,7 @@ def operator_norm_estimate(m, tol: float = 1e-6, max_iterations: int | None = No
     binds.  The estimate approaches the true norm from below, so it always
     dominates the spectral radius up to O(tol).
     """
-    m = as_complex_matrix(m, require_square=True)
+    m = as_complex_matrix(m)
     n = m.shape[0]
     cap = max(10 * n, 4096) if max_iterations is None else int(max_iterations)
 

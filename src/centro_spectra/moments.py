@@ -4,9 +4,13 @@ Entries of the (unscaled) matrix are standard circular complex Gaussians
 tied together by the center-symmetry pairing (i, j) <-> (n+1-i, n+1-j).
 That makes mixed trace moments exactly computable in two independent ways:
 
-* enumeration: walk every index tuple of the two trace chains, resolve each
-  factor to its free variable through the pairing, and apply the circular
-  Gaussian moment rule E[u^p conj(u)^q] = 0 if p != q else p!;
+* enumeration: walk the n^k index chains of one trace and resolve each
+  factor to its free variable through the pairing.  By the circular
+  Gaussian moment rule E[u^p conj(u)^q] = 0 if p != q else p!, a pair of
+  chains contributes w(S) = prod_v p_v! exactly when both read the same
+  multiset S of variables (p_v copies of v), so the moment is
+  sum_S c(S)^2 w(S), where c(S) counts the chains reading S; the sum is
+  taken in exact integers;
 * pairing count: expand the expectation over Wick matchings between
   unconjugated and conjugated factors; each matching contributes the number
   of index assignments compatible with its equality/mirror constraints,
@@ -30,12 +34,13 @@ traces of the 1/sqrt(n)-scaled matrix.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -107,8 +112,10 @@ def exact_mixed_trace_moment(q: MomentQuery, method: str = "auto") -> Fraction:
     """Exact E[Tr(M^k) Tr(conj(M)^l)] as a rational number.
 
     method:
-      "enumeration" - full tuple walk; raises BudgetExceededError when
-                      n^(k+l) exceeds ENUMERATION_BUDGET;
+      "enumeration" - walks the n^k chains of one trace and adds
+                      sum_S c(S)^2 w(S) over their id multisets S; raises
+                      BudgetExceededError when the n^(k+l) chain pairs
+                      exceed ENUMERATION_BUDGET;
       "matchings"   - Wick pairing count: the first call for a k walks
                       (k-1)! 3^k constraint systems into two parity
                       polynomials in n, cached; each n then costs O(k);
@@ -138,58 +145,25 @@ def exact_single_trace_moment(n: int, k: int) -> Fraction:
     return exact_mixed_trace_moment(MomentQuery(n=n, k=k, l=0))
 
 
-def _canonical_ids(n: int) -> np.ndarray:
-    """canon[a, b] = id of the free variable behind position (a, b), 1-based."""
-    a = np.arange(1, n + 1)[:, None]
-    b = np.arange(1, n + 1)[None, :]
-    direct = (a - 1) * n + (b - 1)
-    mirrored = (n - a) * n + (n - b)
-    table = np.zeros((n + 1, n + 1), dtype=np.int64)
-    table[1:, 1:] = np.minimum(direct, mirrored)
-    return table
-
-
 def _enumeration_exact(n: int, k: int) -> Fraction:
-    """Sum the Gaussian moment rule over all n^(2k) index tuples (k = l)."""
-    canon = _canonical_ids(n)
-    kl = 2 * k
-    total_tuples = n**kl
-    acc = 0
-    # A chunk's arrays (about 2.5 MB at 2k = 8) stay under glibc's malloc
-    # trim threshold, so the heap is reused from chunk to chunk rather than
-    # handed back to the kernel and faulted in again.
-    chunk = 1 << 14
-    for start in range(0, total_tuples, chunk):
-        idx = np.arange(start, min(start + chunk, total_tuples), dtype=np.int64)
-        digits = np.empty((len(idx), kl), dtype=np.int64)
-        t = idx
-        for pos in range(kl - 1, -1, -1):
-            digits[:, pos] = t % n + 1
-            t = t // n
-        ichain = digits[:, :k]
-        jchain = digits[:, k:]
-        uids = np.stack(
-            [canon[ichain[:, a], ichain[:, (a + 1) % k]] for a in range(k)], axis=1
-        )
-        cids = np.stack(
-            [canon[jchain[:, b], jchain[:, (b + 1) % k]] for b in range(k)], axis=1
-        )
-        uids.sort(axis=1)
-        cids.sort(axis=1)
-        match = np.all(uids == cids, axis=1)
-        if not match.any():
-            continue
-        ids = uids[match]
-        # E[u^p conj(u)^p] = p! per variable; accumulate the factorials
-        # positionally along each row's runs of equal ids.
-        weight = np.ones(ids.shape[0], dtype=np.int64)
-        run = np.ones(ids.shape[0], dtype=np.int64)
-        for pos in range(1, k):
-            same = ids[:, pos] == ids[:, pos - 1]
-            run = np.where(same, run + 1, 1)
-            weight *= np.where(same, run, 1)
-        acc += int(weight.sum())
-    return Fraction(acc, n**k)
+    """Sum the moment rule over the n^(2k) chain pairs from the n^k chains (k = l).
+
+    Chain i_0..i_{k-1} reads the factors at positions (i_a, i_{a+1 mod k}).
+    The 0-based position (i, j) has flat index f = i n + j; it and its
+    mirror n^2 - 1 - f hold one free variable, whose id is the smaller.  A pair of chains contributes
+    w(S) = prod_v p_v! exactly when both read the same multiset S of ids
+    (p_v copies of v), so the n^(2k) pairs sum to sum_S c(S)^2 w(S), where
+    c(S) counts the n^k single chains that read S.
+    """
+    chains = np.arange(n**k)[:, None] // n ** np.arange(k) % n
+    flat = chains * n + np.roll(chains, -1, axis=1)
+    ids = np.minimum(flat, n * n - 1 - flat)
+    ids.sort(axis=1)
+    multisets, counts = np.unique(ids, axis=0, return_counts=True)
+    total = 0
+    for s, c in zip(multisets.tolist(), counts.tolist()):
+        total += c * c * prod(map(factorial, Counter(s).values()))
+    return Fraction(total, n**k)
 
 
 class _UndoableParityUnionFind:
@@ -383,13 +357,12 @@ def moment_result(
     q: MomentQuery,
     mc_trials: int | None = None,
     stream: SeedStream | None = None,
-    method: str = "auto",
 ) -> MomentResult:
     """Bundle the exact value, optional MC cross-check and the n->inf limit."""
     mc = None
     if mc_trials is not None:  # first, so a bad count fails before the exact oracle runs
         mc = mc_trace_moment(q, mc_trials, stream if stream is not None else SeedStream(0, 0))
-    exact = exact_mixed_trace_moment(q, method=method)
+    exact = exact_mixed_trace_moment(q)
     prediction = asymptotic_prediction(q.k, q.l) if q.l >= 1 else 0.0
     return MomentResult(
         query=q, exact_value=exact, mc_estimate=mc, asymptotic_prediction=prediction

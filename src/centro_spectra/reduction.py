@@ -121,7 +121,7 @@ def verify_reduction(cm: CentrosymmetricMatrix, red: BlockReduction) -> float:
     centrosymmetric.
     """
     m = cm.matrix
-    if not is_centrosymmetric(m, tol=0.0):
+    if not is_centrosymmetric(m):
         raise ValueError("the unfolded matrix is not exactly centrosymmetric")
     n = m.shape[0]
     s1 = red.t1.shape[0]

@@ -121,8 +121,8 @@ class CentrosymmetricMatrix:
     def from_matrix(cls, matrix) -> "CentrosymmetricMatrix":
         """Wrap an outside square matrix, checked to be exactly centrosymmetric
         (provenance: seed 0, stream 0)."""
-        m = as_complex_matrix(matrix, require_square=True)
-        if not is_centrosymmetric(m, tol=0.0):
+        m = as_complex_matrix(matrix)
+        if not is_centrosymmetric(m):
             raise ValueError("matrix is not centrosymmetric")
         n = m.shape[0]
         return cls(m[: (n + 1) // 2].copy(), n, 0, 0)
@@ -167,10 +167,10 @@ def sample_centrosymmetric(
     )
 
 
-def is_centrosymmetric(m, tol: float = 0.0) -> bool:
-    """True iff max |m[i,j] - m[n+1-i,n+1-j]| <= tol."""
-    m = as_complex_matrix(m, require_square=True)
-    return bool(np.abs(m - np.flip(m, (0, 1))).max() <= tol)
+def is_centrosymmetric(m) -> bool:
+    """True iff m[i,j] == m[n+1-i,n+1-j] exactly, for every i, j."""
+    m = as_complex_matrix(m)
+    return np.array_equal(m, np.flip(m, (0, 1)))
 
 
 @dataclass(frozen=True)

@@ -194,7 +194,8 @@ _NON_POSITIVE = st.integers(-10**6, 0).map(str)
 _NEGATIVE = st.integers(-2**70, -1).map(str)
 _BAD_POLY = st.one_of(
     st.text(alphabet="abcxyz ,;.+"),  # no digits, "nan" or "inf": never a number
-    st.sampled_from(["nan", "inf", "-inf", "1,nan", "2,-inf", "1e999", "0,1e400"]),
+    st.sampled_from(["nan", "inf", "-inf", "1,nan", "2,-inf", "1e999", "0,1e400",
+                     "1e-200"]),
 )
 _BAD_CONTOUR = st.one_of(
     st.text(alphabet="ab ,;"),

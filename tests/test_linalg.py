@@ -43,7 +43,7 @@ def test_as_complex_matrix_rejects_nonfinite():
         with pytest.raises(ValueError):
             as_complex_matrix(np.array([[bad, 0], [0, 1]]))
     with pytest.raises(ValueError):
-        as_complex_matrix(np.zeros((2, 3)), require_square=True)
+        as_complex_matrix(np.zeros((2, 3)))
 
 
 def test_operator_norm_trivial_cases():

@@ -1,6 +1,7 @@
 import os
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 import numpy as np
 import pytest
@@ -124,14 +125,24 @@ def test_single_chain_vanishes():
 
 
 def test_enumeration_agrees_with_matchings():
-    # two independent exact routes over the full small grid
-    grid = [(n, k) for n in (1, 2, 3, 4, 5, 6, 8) for k in (1, 2, 3)]
-    grid += [(n, 4) for n in (1, 2, 3, 4, 5)]
-    for n, k in grid:
+    # two independent exact routes over every admitted (n <= 12, k <= 4) and
+    # the largest admitted n at k = 3, 4, 5, 6
+    grid = [(n, k) for k in range(1, 5) for n in range(1, 13)
+            if MomentQuery(n, k, k).tuple_count <= ENUMERATION_BUDGET]
+    edges = [(21, 3), (10, 4), (6, 5), (4, 6)]
+    for n, k in edges:
+        assert MomentQuery(n + 1, k, k).tuple_count > ENUMERATION_BUDGET
+    for n, k in grid + edges:
         q = MomentQuery(n, k, k)
         enum = exact_mixed_trace_moment(q, method="enumeration")
         pairs = exact_mixed_trace_moment(q, method="matchings")
         assert enum == pairs, (n, k)
+
+
+def test_enumeration_is_k_factorial_at_n1():
+    # n = 1: M is one Gaussian u and E|u^k|^2 = k!, past the int64 range from k = 21
+    for k in range(1, 26):
+        assert exact_mixed_trace_moment(MomentQuery(1, k, k)) == factorial(k), k
 
 
 @settings(max_examples=60, deadline=None)
