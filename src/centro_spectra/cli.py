@@ -1,5 +1,8 @@
 """Command-line front end: experiments, persistence and plot-data emission.
 
+Every output format lives here.  All JSON goes through ``_encode``, whose
+hook ``linalg.complex_to_pairs`` writes each complex value as [re, im].
+
 Commands are deterministic given their flags: every randomized command takes
 --seed.  --threads is validated and recorded in the config JSON; trials run
 serially whatever its value, with BLAS supplying the parallelism.  Exit
@@ -17,10 +20,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .eigen import eigenvalues_centrosymmetric, eigenvalues_dense, spectrum_to_json
+from .eigen import eigenvalues_centrosymmetric, eigenvalues_dense
 from .harness import (
     CircularLawReport,
-    CovarianceKernelReport,
     RunConfig,
     TestPolynomial,
     TrialBatch,
@@ -30,17 +32,19 @@ from .harness import (
     run_covariance_kernel_experiment,
 )
 from .linalg import complex_to_pairs, counter_identity
-from .moments import McEstimate, MomentQuery, moment_result
+from .moments import MomentQuery, moment_result
 from .reduction import block_reduce, verify_reduction
 from .sampling import (
     STANDARD_COMPLEX_GAUSSIAN,
     SeedStream,
-    matrix_to_json,
     moment_self_test,
     sample_centrosymmetric,
 )
 
 __all__ = ["config_to_json_dict", "emit_plot_data", "main", "parse_and_dispatch"]
+
+
+_encode = json.JSONEncoder(default=complex_to_pairs).encode
 
 
 class _UsageError(Exception):
@@ -75,8 +79,8 @@ def config_to_json_dict(config: RunConfig) -> dict:
         "trials": config.trials,
         "master_seed": config.master_seed,
         "dist": STANDARD_COMPLEX_GAUSSIAN.kind,
-        "poly": None if config.poly is None else complex_to_pairs(config.poly.coeffs),
-        "contour_points": complex_to_pairs(config.contour_points),
+        "poly": None if config.poly is None else config.poly.coeffs,
+        "contour_points": config.contour_points,
         "rho": config.rho,
         "tau": config.tau,
         "threads": config.threads,
@@ -84,10 +88,9 @@ def config_to_json_dict(config: RunConfig) -> dict:
 
 
 def _summary_dict(batch: TrialBatch) -> dict:
-    s = batch.summaries
     return {
         "config": config_to_json_dict(batch.config),
-        "summaries": None if s is None else {**asdict(s), "mean": complex_to_pairs(s.mean)},
+        "summaries": None if batch.summaries is None else asdict(batch.summaries),
         "guard_rejections": batch.guard_rejections,
     }
 
@@ -99,11 +102,11 @@ def write_trial_jsonl(batch: TrialBatch, path: str):
             record = {
                 "trial_index": r.trial_index,
                 "seed": r.trial_index,
-                "les": None if r.les is None else complex_to_pairs(r.les),
+                "les": r.les,
                 "spectral_radius": r.spectral_radius,
-                "resolvent": {_complex_key(z): complex_to_pairs(v) for z, v in r.resolvent.items()},
+                "resolvent": {_complex_key(z): v for z, v in r.resolvent.items()},
             }
-            fh.write(json.dumps(record) + "\n")
+            fh.write(_encode(record) + "\n")
 
 
 def _jsonl_path_for(out: str) -> str:
@@ -111,33 +114,27 @@ def _jsonl_path_for(out: str) -> str:
     return root + ".jsonl" if ext != ".jsonl" else root + ".trials.jsonl"
 
 
-def emit_plot_data(batch, kind: str, path: str, bins: int = 30):
-    """CSV plot data: eigenvalue scatter, or a centered-LES histogram.
+def emit_plot_data(report: CircularLawReport | TrialBatch, path: str, bins: int = 30):
+    """CSV plot data, chosen by the report's type.
 
-    kind="scatter" expects a circular-law report; kind="histogram" expects
-    a trial batch and writes two series (raw L-centered and L-centered
-    divided by sqrt(n)) with their Gaussian overlay parameters in the
-    header comments.
+    A circular-law report gives its eigenvalue scatter, one re,im row per
+    eigenvalue.  A trial batch gives a centered-LES histogram in two series
+    (raw L-centered and L-centered divided by sqrt(n)) with their Gaussian
+    overlay parameters in the header comments.
     """
-    if kind == "scatter":
-        if not isinstance(batch, CircularLawReport):
-            raise ValueError("scatter plot data needs a circular-law report")
+    if isinstance(report, CircularLawReport):
         with open(path, "w") as fh:
             fh.write("re,im\n")
-            for sample in batch.samples:
+            for sample in report.samples:
                 for z in sample.spectrum.eigenvalues:
-                    fh.write(f"{float(z.real)!r},{float(z.imag)!r}\n")
+                    fh.write(_complex_key(z) + "\n")
         return
-    if kind != "histogram":
-        raise ValueError(f"unknown plot kind {kind!r}")
-    if not isinstance(batch, TrialBatch):
-        raise ValueError("histogram plot data needs a trial batch")
-    values = batch.les_values
+    values = report.les_values
     if len(values) == 0:
         raise ValueError("no accepted trials to histogram")
     centered = (values - values.mean()).real
-    sigma2 = predicted_sigma2(batch.config.poly)
-    n = batch.config.n
+    sigma2 = predicted_sigma2(report.config.poly)
+    n = report.config.n
     series = [
         ("les_centered", centered, sigma2),
         ("les_centered_over_sqrt_n", centered / np.sqrt(n), sigma2 / n),
@@ -177,7 +174,15 @@ def _guarded_config(args, **fields) -> RunConfig:
 
 
 def _cmd_sample(args) -> int:
-    _write_output(matrix_to_json(_sampled(args)), args.out)
+    cm = _sampled(args)
+    payload = {
+        "n": cm.n,
+        "seed": cm.seed,
+        "stream_index": cm.stream_index,
+        "dist": STANDARD_COMPLEX_GAUSSIAN.kind,
+        "entries": cm.matrix.ravel(),  # row-major over the full matrix
+    }
+    _write_output(_encode(payload), args.out)
     return 0
 
 
@@ -189,11 +194,11 @@ def _cmd_reduce(args) -> int:
         "n": cm.n,
         "seed": cm.seed,
         "parity": red.parity,
-        "t1": complex_to_pairs(red.t1),
-        "t2": complex_to_pairs(red.t2),
+        "t1": red.t1,
+        "t2": red.t2,
         "residual": residual,
     }
-    _write_output(json.dumps(payload), args.out)
+    _write_output(_encode(payload), args.out)
     return 0
 
 
@@ -203,7 +208,8 @@ def _cmd_spectrum(args) -> int:
         spec = eigenvalues_dense(cm.matrix)
     else:
         spec = eigenvalues_centrosymmetric(cm)
-    _write_output(spectrum_to_json(spec), args.out)
+    payload = {"source_dim": spec.source_dim, "eigenvalues": spec.eigenvalues}
+    _write_output(_encode(payload), args.out)
     return 0
 
 
@@ -211,7 +217,7 @@ def _cmd_circular_law(args) -> int:
     config = RunConfig(n=args.n, trials=args.trials, master_seed=args.seed)
     report = run_circular_law_experiment(config)
     if args.format == "csv":
-        emit_plot_data(report, "scatter", args.out)
+        emit_plot_data(report, args.out)
         return 0
     payload = {
         "config": config_to_json_dict(config),
@@ -227,7 +233,7 @@ def _cmd_circular_law(args) -> int:
             for s in report.samples
         ],
     }
-    _write_output(json.dumps(payload), args.out)
+    _write_output(_encode(payload), args.out)
     return 0
 
 
@@ -237,9 +243,9 @@ def _cmd_clt(args) -> int:
     config = _guarded_config(args, poly=TestPolynomial.from_string(args.poly))
     batch = run_clt_experiment(config)
     if args.format == "csv":
-        emit_plot_data(batch, "histogram", args.out, bins=args.bins)
+        emit_plot_data(batch, args.out, bins=args.bins)
         return 0
-    _write_output(json.dumps(_summary_dict(batch)), args.out)
+    _write_output(_encode(_summary_dict(batch)), args.out)
     if args.out is not None:
         write_trial_jsonl(batch, _jsonl_path_for(args.out))
     return 0
@@ -253,18 +259,15 @@ def _cmd_moments(args) -> int:
         stream=SeedStream(args.seed, 0),
     )
     exact = result.exact_value
-    mc: McEstimate | None = result.mc_estimate
     payload = {
         "n": args.n,
         "k": args.k,
         "l": args.l,
         "exact": [exact.numerator, exact.denominator],
-        "mc": None
-        if mc is None
-        else {"mean": complex_to_pairs(mc.mean), "se": mc.se, "trials": mc.trials},
+        "mc": None if result.mc_estimate is None else asdict(result.mc_estimate),
         "prediction": result.asymptotic_prediction,
     }
-    text = json.dumps(payload)
+    text = _encode(payload)
     summary = f"exact {exact.numerator}/{exact.denominator}"
     if args.out is None:
         # stdout carries the JSON alone, so the summary goes to stderr
@@ -283,18 +286,10 @@ def _cmd_resolvent_cov(args) -> int:
     report = run_covariance_kernel_experiment(config)
     payload = {
         "config": config_to_json_dict(config),
-        "pairs": [
-            {
-                "z": complex_to_pairs(p.z),
-                "eta": complex_to_pairs(p.eta),
-                "empirical": complex_to_pairs(p.empirical),
-                "predicted": complex_to_pairs(p.predicted),
-            }
-            for p in report.pairs
-        ],
+        "pairs": [asdict(p) for p in report.pairs],
         "guard_rejections": report.batch.guard_rejections,
     }
-    _write_output(json.dumps(payload), args.out)
+    _write_output(_encode(payload), args.out)
     if args.out is not None:
         write_trial_jsonl(report.batch, _jsonl_path_for(args.out))
     return 0
@@ -411,6 +406,8 @@ def parse_and_dispatch(argv) -> int:
     try:
         if getattr(args, "format", None) == "csv" and args.out is None:
             raise ValueError("--format csv needs --out")
+        if getattr(args, "bins", 1) < 1:
+            raise ValueError(f"--bins must be >= 1, got {args.bins}")
         return int(args.handler(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,11 +10,9 @@ block reduction first and solves the two half-size blocks, which measured
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .linalg import Spectrum, as_complex_matrix, complex_to_pairs
+from .linalg import Spectrum, as_complex_matrix
 from .reduction import block_reduce
 from .sampling import CentrosymmetricMatrix
 
@@ -24,7 +22,6 @@ __all__ = [
     "eigenvalues_dense",
     "match_spectra",
     "spectral_radius",
-    "spectrum_to_json",
 ]
 
 
@@ -104,14 +101,3 @@ def match_spectra(a: Spectrum, b: Spectrum) -> float:
     d = np.abs(va[:, None] - vb[None, :])
     rows, cols = linear_sum_assignment(d)
     return float(d[rows, cols].max())
-
-
-def spectrum_to_json(spec: Spectrum) -> str:
-    """Dump format: {source_dim, eigenvalues: [[re, im], ...]}."""
-    return json.dumps(
-        {
-            "source_dim": spec.source_dim,
-            "eigenvalues": complex_to_pairs(spec.eigenvalues),
-        }
-    )
-

@@ -74,20 +74,15 @@ class TestPolynomial:
             raise ValueError("leading coefficient a_d must be nonzero")
         if not all(np.isfinite([a.real, a.imag]).all() for a in coeffs):
             raise ValueError("coefficients must be finite")
-        if not predicted_sigma2(self) / 2.0 > 0:
-            raise ValueError("sum 2k|a_k|^2 underflows to 0: the LES has no reference law")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs)
+        if not 0 < predicted_sigma2(self) / 2.0 < np.inf:
+            raise ValueError(
+                "sum 2k|a_k|^2 underflows to 0 or overflows: the LES has no reference law"
+            )
 
     @classmethod
     def from_string(cls, text: str) -> "TestPolynomial":
-        """Parse 'a_1,a_2,...,a_d' (real coefficients)."""
-        parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-        if not parts:
-            raise ValueError(f"cannot parse polynomial from {text!r}")
-        return cls(coeffs=tuple(float(p) for p in parts))
+        """Parse 'a_1,a_2,...,a_d' (real coefficients); an empty field is an error."""
+        return cls(coeffs=tuple(float(p) for p in text.split(",")))
 
     def evaluate(self, z):
         """Horner evaluation, vectorized over z."""
@@ -103,9 +98,10 @@ def predicted_sigma2(poly: TestPolynomial) -> float:
 
     For real coefficients this is the closed form sum 2 k a_k^2; the
     modulus-squared version is what the integral form of the variance
-    yields for complex coefficients.
+    yields for complex coefficients.  A sum too large for a float is inf
+    (float ``**`` would raise OverflowError instead).
     """
-    return float(sum(2.0 * k * abs(a) ** 2 for k, a in enumerate(poly.coeffs, start=1)))
+    return float(sum(2.0 * k * (abs(a) * abs(a)) for k, a in enumerate(poly.coeffs, start=1)))
 
 
 def les(spec: Spectrum, poly: TestPolynomial) -> complex:
@@ -361,7 +357,6 @@ class CircularLawSample:
 
 @dataclass(frozen=True)
 class CircularLawReport:
-    config: RunConfig
     samples: tuple
 
 
@@ -388,7 +383,7 @@ def run_circular_law_experiment(config: RunConfig) -> CircularLawReport:
                 spectral_radius=spectral_radius(spec),
             )
         )
-    return CircularLawReport(config=config, samples=tuple(samples))
+    return CircularLawReport(samples=tuple(samples))
 
 
 @dataclass(frozen=True)
@@ -401,7 +396,6 @@ class KernelPair:
 
 @dataclass(frozen=True)
 class CovarianceKernelReport:
-    config: RunConfig
     pairs: tuple
     batch: TrialBatch
 
@@ -431,4 +425,4 @@ def run_covariance_kernel_experiment(config: RunConfig) -> CovarianceKernelRepor
             pairs.append(
                 KernelPair(z=z, eta=eta, empirical=emp, predicted=covariance_kernel(z, eta))
             )
-    return CovarianceKernelReport(config=config, pairs=tuple(pairs), batch=batch)
+    return CovarianceKernelReport(pairs=tuple(pairs), batch=batch)

@@ -42,13 +42,16 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def complex_to_pairs(values) -> list:
-    """JSON-ready [re, im] pairs, nested like the input's shape (a scalar
-    gives one pair).  Every float keeps its bits through json.dumps."""
-    if isinstance(values, complex):  # numpy complex128 scalars included
-        return [float(values.real), float(values.imag)]
-    a = np.asarray(values, dtype=np.complex128)
-    return np.stack((a.real, a.imag), axis=-1).tolist()
+def complex_to_pairs(value) -> list:
+    """JSON encoder hook (``json.dumps(obj, default=complex_to_pairs)``): a
+    complex scalar gives one [re, im] pair and a complex ndarray gives pairs
+    nested like its shape, every float keeping its bits.  Anything else
+    raises TypeError, so an integer or a Fraction is never written as a pair."""
+    if isinstance(value, complex):  # numpy complex128 scalars included
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, np.ndarray) and value.dtype.kind == "c":
+        return np.stack((value.real, value.imag), axis=-1).tolist()
+    raise TypeError(f"{type(value).__name__} is not a complex scalar or array")
 
 
 def complex_from_pairs(pairs) -> np.ndarray:

@@ -17,12 +17,11 @@ so distinct trials get independent substreams and a draw depends on its
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_complex_matrix, complex_to_pairs
+from .linalg import as_complex_matrix
 
 __all__ = [
     "CentrosymmetricMatrix",
@@ -31,7 +30,6 @@ __all__ = [
     "STANDARD_COMPLEX_GAUSSIAN",
     "SeedStream",
     "is_centrosymmetric",
-    "matrix_to_json",
     "moment_self_test",
     "sample_centrosymmetric",
 ]
@@ -222,14 +220,3 @@ def moment_self_test(draws: int, stream: SeedStream) -> MomentSelfTest:
         abs_second_moment=float(abs_second.real),
         abs_second_moment_se=abs_second_se,
     )
-
-
-def matrix_to_json(cm: CentrosymmetricMatrix) -> str:
-    """Dump format: {n, seed, stream_index, dist, entries: [[re, im], ...]
-    row-major over the full matrix}."""
-    entries = complex_to_pairs(cm.matrix.ravel())
-    return json.dumps(
-        {"n": cm.n, "seed": cm.seed, "stream_index": cm.stream_index,
-         "dist": STANDARD_COMPLEX_GAUSSIAN.kind, "entries": entries}
-    )
-

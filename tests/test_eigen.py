@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,9 +9,13 @@ from centro_spectra.eigen import (
     eigenvalues_dense,
     match_spectra,
     spectral_radius,
-    spectrum_to_json,
 )
-from centro_spectra.linalg import Spectrum, complex_from_pairs, operator_norm_estimate
+from centro_spectra.linalg import (
+    Spectrum,
+    complex_from_pairs,
+    complex_to_pairs,
+    operator_norm_estimate,
+)
 from centro_spectra.sampling import CentrosymmetricMatrix, SeedStream, sample_centrosymmetric
 
 
@@ -126,7 +131,7 @@ def test_match_spectra_pairs_by_least_total_distance():
 
 def test_spectrum_json_round_trip():
     spec = eigenvalues_dense(np.diag([1.0, -2.0j]))
-    obj = json.loads(spectrum_to_json(spec))
+    obj = json.loads(json.dumps(asdict(spec), default=complex_to_pairs))
     assert obj["source_dim"] == 2
     assert np.array_equal(complex_from_pairs(obj["eigenvalues"]), spec.eigenvalues)
 

@@ -88,6 +88,8 @@ def test_polynomial_rejects_constant_and_zero_leading():
         TestPolynomial(coeffs=(1.0, 0.0))
     with pytest.raises(ValueError):  # sum 2k|a_k|^2 underflows: no reference law
         TestPolynomial(coeffs=(1e-200,))
+    with pytest.raises(ValueError):  # sum 2k|a_k|^2 overflows to inf
+        TestPolynomial(coeffs=(1e200,))
     assert TestPolynomial.from_string("0,0,2,1").coeffs == (0j, 0j, 2 + 0j, 1 + 0j)
     with pytest.raises(ValueError):
         TestPolynomial.from_string("")

@@ -1,9 +1,9 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from centro_spectra.eigen import spectrum_to_json
 from centro_spectra.linalg import (
     PowerIterationError,
     Spectrum,
@@ -13,7 +13,6 @@ from centro_spectra.linalg import (
     counter_identity,
     operator_norm_estimate,
 )
-from centro_spectra.sampling import CentrosymmetricMatrix, matrix_to_json
 
 
 def test_counter_identity_small_cases():
@@ -100,14 +99,20 @@ def test_complex_pairs_keep_every_bit():
         complex_from_pairs([[1.0, 2.0, 3.0]])
 
 
+@pytest.mark.parametrize("value", [np.int64(3), Fraction(1, 2), np.array([1.0, 2.0])],
+                         ids=["int64", "Fraction", "float64-array"])
+def test_complex_to_pairs_rejects_what_is_not_complex(value):
+    with pytest.raises(TypeError):
+        complex_to_pairs(value)
+    with pytest.raises(TypeError):
+        json.dumps({"x": value}, default=complex_to_pairs)
+
+
 def test_json_dumps_keep_signed_zero_and_subnormal():
     a, b, c = complex(-0.0, TINY), complex(-TINY, -0.0), complex(0.0, -0.0)
     m = np.array([[a, b, c], [TINY, -0.0, TINY], [c, b, a]])
-    cm = CentrosymmetricMatrix.from_matrix(m)
-    loaded = complex_from_pairs(json.loads(matrix_to_json(cm))["entries"]).reshape(3, 3)
-    assert np.array_equal(_bits(loaded), _bits(m))
-    spec = Spectrum(eigenvalues=np.array([a, b, c, -TINY]), source_dim=4)
-    text = spectrum_to_json(spec)
-    assert json.loads(text)["eigenvalues"][0] == [-0.0, TINY] and "[-0.0, 5e-324]" in text
-    loaded = complex_from_pairs(json.loads(text)["eigenvalues"])
-    assert np.array_equal(_bits(loaded), _bits(spec.eigenvalues))
+    text = json.dumps({"entries": m.ravel(), "first": a}, default=complex_to_pairs)
+    assert "[-0.0, 5e-324]" in text
+    obj = json.loads(text)
+    assert obj["first"] == [-0.0, TINY]
+    assert np.array_equal(_bits(complex_from_pairs(obj["entries"]).reshape(3, 3)), _bits(m))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centro_spectra.cli import parse_and_dispatch
 from centro_spectra.linalg import complex_from_pairs, counter_identity
 from centro_spectra.reduction import block_reduce
 from centro_spectra.sampling import (
@@ -15,7 +16,6 @@ from centro_spectra.sampling import (
     _sample_batch,
     _unfold,
     is_centrosymmetric,
-    matrix_to_json,
     moment_self_test,
     sample_centrosymmetric,
 )
@@ -146,12 +146,15 @@ def test_moment_self_test_rejects_tiny_sample():
         moment_self_test(100, SeedStream(0, 0))
 
 
-def test_json_round_trip_bit_identical():
-    cm = sample_centrosymmetric(5, stream=SeedStream(13, 2))
-    obj = json.loads(matrix_to_json(cm))
+def test_json_round_trip_bit_identical(tmp_path):
+    path = tmp_path / "m.json"
+    argv = ["sample", "--n", "5", "--seed", "13", "--stream", "2", "--out", str(path)]
+    assert parse_and_dispatch(argv) == 0
+    obj = json.loads(path.read_text())
     assert set(obj) == {"n", "seed", "stream_index", "dist", "entries"}
     assert (obj["n"], obj["seed"], obj["stream_index"]) == (5, 13, 2)
     assert len(obj["entries"]) == 25
+    cm = sample_centrosymmetric(5, stream=SeedStream(13, 2))
     assert np.array_equal(_bits(complex_from_pairs(obj["entries"]).reshape(5, 5)), _bits(cm.matrix))
 
 
