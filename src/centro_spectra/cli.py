@@ -4,9 +4,9 @@ Every output format lives here.  All JSON goes through ``_encode``, whose
 hook ``linalg.complex_to_pairs`` writes each complex value as [re, im].
 
 Commands are deterministic given their flags: every randomized command takes
---seed.  --threads is validated and recorded in the config JSON; trials run
-serially whatever its value, with BLAS supplying the parallelism.  Exit
-codes: 0 success, 1 validation failure (bad flags or values, found before
+--seed.  --threads caps the worker processes that run clt and resolvent-cov
+trials (default: one per CPU) and is recorded in the config JSON; the
+outputs are the same bytes whatever its value.  Exit codes: 0 success, 1 validation failure (bad flags or values, found before
 any trial runs), 2 runtime error (including a failed trial).
 """
 
@@ -339,7 +339,8 @@ def _add_common(p, trials_default=None):
 def _add_guard(p):
     p.add_argument("--rho", type=float, default=2.2)
     p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="cap on trial worker processes (default: one per CPU)")
 
 
 def build_parser() -> argparse.ArgumentParser:

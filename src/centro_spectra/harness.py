@@ -1,15 +1,23 @@
 """Monte Carlo experiments on the centrosymmetric ensemble.
 
-Three experiments share one trial engine, ``_trial_spectra``: trial t is
+Three experiments share one trial solver, ``_solve_trial``: trial t is
 drawn from seed substream t, ``SeedStream(master_seed, t)``, and solved on
 its two blocks, and each experiment computes its statistics from the
 spectra.  A trial that fails (a draw, or a solve that breaks the trace
 contract or returns a non-finite spectrum) raises ``RuntimeError`` naming
 the trial, which the CLI reports as exit code 2 in every experiment.
-Trials run one after another, in index order, on the calling thread; the
-parallelism is BLAS's, inside each eigensolve.  ``RunConfig.threads`` is
-validated and recorded in the config but does not change how trials run,
-so results are the same for every value of it:
+
+The CLT and resolvent-covariance experiments run their trials on a pool of
+forked worker processes, at most ``RunConfig.threads`` of them (all CPUs
+when unset), never more than the CPUs or the trials; with one worker they
+run inline.  The eigensolve holds the GIL, so threads could not share the
+work.  The whole engine runs with OpenBLAS on one thread, which the
+workers inherit: results are consumed in index order and are the same to
+the bit for every ``threads`` value and every BLAS thread setting.  Where
+no OpenBLAS entry point is found, ``fork`` is unavailable or the process
+runs other threads, trials run inline (with BLAS as configured when no
+entry point is found).  The circular law (one or a few large
+samples) runs inline with BLAS's own threads:
 
 * circular law: eigenvalue cloud of one (or a few) large samples against
   the uniform law on the unit disc (radial KS, angular chi-square, outlier
@@ -26,13 +34,18 @@ and counted, never silently dropped.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
 from .eigen import eigenvalues_centrosymmetric, spectral_radius
-from .linalg import Spectrum, as_complex_matrix
+from .linalg import Spectrum, as_complex_matrix, single_blas_thread
 from .sampling import SeedStream, sample_centrosymmetric
 
 __all__ = [
@@ -145,8 +158,9 @@ def resolvent_series_gap(matrix, spec: Spectrum, z: complex, terms: int = 8) -> 
 class RunConfig:
     """One experiment configuration; everything needed for reproduction.
 
-    ``threads`` (None or an int >= 1) is recorded with the configuration;
-    trials always run serially.
+    ``threads`` (None or an int >= 1) caps the worker processes of the CLT
+    and resolvent-covariance engines (None: one per CPU); it is recorded
+    with the configuration and changes no result.
     """
 
     n: int
@@ -230,28 +244,55 @@ class TrialBatch:
         )
 
 
-def _trial_spectra(config: RunConfig):
-    """Yield (t, spectrum) for every trial, serially in index order.
+def _solve_trial(n: int, master_seed: int, t: int) -> Spectrum:
+    """Draw trial t from ``SeedStream(master_seed, t)`` and solve it through
+    the block path; any failure is re-raised as RuntimeError naming t.
 
-    Trial t is drawn from ``SeedStream(config.master_seed, t)`` and solved
-    through the block path; any failure is re-raised as RuntimeError.
+    The sampler and the solver are looked up when the trial runs, so a
+    wrapper installed on this module reaches pool workers forked after it.
     """
-    for t in range(config.trials):
-        try:
-            cm = sample_centrosymmetric(config.n, SeedStream(config.master_seed, t))
-            spec = eigenvalues_centrosymmetric(cm)
-        except Exception as exc:
-            raise RuntimeError(f"trial {t} failed: {exc}") from exc
-        yield t, spec
+    try:
+        return eigenvalues_centrosymmetric(sample_centrosymmetric(n, SeedStream(master_seed, t)))
+    except Exception as exc:
+        raise RuntimeError(f"trial {t} failed: {exc}") from exc
+
+
+def _worker_count(threads: int | None, trials: int, cpus: int) -> int:
+    """Worker processes of one run: the ``threads`` cap (all CPUs when
+    None), never more than the CPUs or the trials."""
+    return min(threads or cpus, cpus, trials)
 
 
 def _run_trials(config: RunConfig) -> TrialBatch:
-    """Guard and evaluate every trial: L(P) when ``config.poly`` is set and
-    Tr R_z at every contour point, on accepted trials only."""
+    """Solve every trial, on a worker pool when more than one worker is
+    allowed, with OpenBLAS on one thread throughout (see the module notes)."""
+    solve = partial(_solve_trial, config.n, config.master_seed)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = _worker_count(config.threads, config.trials, cpus or 1)
+    with single_blas_thread() as pinned:
+        # Forked workers inherit the one-thread BLAS and any wrapper installed
+        # on this module; fork is unsafe once the process has other threads.
+        forkable = "fork" in multiprocessing.get_all_start_methods()
+        if workers == 1 or not pinned or not forkable or threading.active_count() > 1:
+            return _evaluate_trials(config, map(solve, range(config.trials)))
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            chunksize = max(1, config.trials // (4 * workers))
+            return _evaluate_trials(
+                config, pool.map(solve, range(config.trials), chunksize=chunksize)
+            )
+        finally:  # after a failed trial, start no pending chunk
+            pool.shutdown(cancel_futures=True)
+
+
+def _evaluate_trials(config: RunConfig, spectra) -> TrialBatch:
+    """Guard and evaluate the spectra of trials 0, 1, ... in index order:
+    L(P) when ``config.poly`` is set and Tr R_z at every contour point, on
+    accepted trials only."""
     contour = config.contour_points
     min_abs_z = min((abs(z) for z in contour), default=None)
     records = []
-    for t, spec in _trial_spectra(config):
+    for t, spec in enumerate(spectra):
         radius = spectral_radius(spec)
         accepted = radius <= config.rho
         if accepted and min_abs_z is not None:
@@ -369,7 +410,8 @@ def run_circular_law_experiment(config: RunConfig) -> CircularLawReport:
     if config.n < 200:
         raise ValueError("circular-law experiment needs n >= 200")
     samples = []
-    for t, spec in _trial_spectra(config):
+    for t in range(config.trials):
+        spec = _solve_trial(config.n, config.master_seed, t)
         lam = spec.eigenvalues
         stat, pvalue = angular_chisquare(np.angle(lam))
         samples.append(

@@ -2,10 +2,14 @@
 
 Matrices are plain numpy arrays of complex128, treated as immutable values:
 every function returns fresh arrays and never mutates its inputs.
+``single_blas_thread`` runs a block with OpenBLAS on one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +22,7 @@ __all__ = [
     "complex_to_pairs",
     "counter_identity",
     "operator_norm_estimate",
+    "single_blas_thread",
 ]
 
 
@@ -116,6 +121,51 @@ def operator_norm_estimate(m, tol: float = 1e-6, max_iterations: int | None = No
         last_estimate=sigma,
         iterations=cap,
     )
+
+
+def _openblas_thread_controls() -> list:
+    """(set, get) thread-count entry points of every loaded OpenBLAS
+    (numpy's, and scipy's once imported), found by name in /proc/self/maps;
+    empty where there is none or no such file."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        lib = ctypes.CDLL(path)
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                set_name = f"{prefix}openblas_set_num_threads{suffix}"
+                get_name = f"{prefix}openblas_get_num_threads{suffix}"
+                if hasattr(lib, set_name) and hasattr(lib, get_name):
+                    set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                    controls.append((set_threads, get_threads))
+    return controls
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, and restore
+    each old thread count on exit; yields whether any OpenBLAS was found.
+
+    OpenBLAS's blocking, and so the last bits of an eigensolve, depends on
+    its thread count, so a solve inside the block gives the same bits
+    whatever ``OPENBLAS_NUM_THREADS`` says.  Processes forked inside the
+    block inherit the setting.
+    """
+    pinned = []
+    for set_threads, get_threads in _openblas_thread_controls():
+        pinned.append((set_threads, get_threads()))
+        set_threads(1)
+    try:
+        yield bool(pinned)
+    finally:
+        for set_threads, count in pinned:
+            set_threads(count)
 
 
 @dataclass(frozen=True, eq=False)

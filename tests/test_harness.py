@@ -1,5 +1,7 @@
 import contextlib
 import io
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -8,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from centro_spectra import harness
 from centro_spectra.eigen import eigenvalues_dense
 from centro_spectra.harness import (
     _summarize,
+    _worker_count,
     RunConfig,
     TestPolynomial,
     angular_chisquare,
@@ -24,7 +28,7 @@ from centro_spectra.harness import (
     run_clt_experiment,
     run_covariance_kernel_experiment,
 )
-from centro_spectra.linalg import Spectrum
+from centro_spectra.linalg import Spectrum, _openblas_thread_controls
 from centro_spectra.sampling import SeedStream, sample_centrosymmetric
 
 P_LINEAR = TestPolynomial(coeffs=(1.0,))
@@ -182,6 +186,32 @@ def test_thread_count_does_not_change_results():
             base = values
         else:
             assert np.array_equal(base, values)
+
+
+def test_worker_count_is_capped_by_cpus_and_trials():
+    cpus = os.cpu_count() or 1
+    assert _worker_count(1_000_000, 400, cpus) == min(cpus, 400)
+    assert _worker_count(None, 400, 8) == 8
+    assert _worker_count(None, 3, 64) == 3
+    assert _worker_count(2, 400, 64) == 2
+    assert _worker_count(1, 400, 64) == 1
+
+
+def test_pooled_failure_names_the_first_failed_trial(monkeypatch):
+    solve = harness.eigenvalues_centrosymmetric
+
+    def fails_at_trials_5_and_9(cm):
+        if cm.stream_index in (5, 9):
+            raise ValueError(f"broken in process {os.getpid()}")
+        return solve(cm)
+
+    monkeypatch.setattr(harness, "eigenvalues_centrosymmetric", fails_at_trials_5_and_9)
+    config = RunConfig(n=16, trials=12, master_seed=0, poly=P_LINEAR, threads=2)
+    with pytest.raises(RuntimeError, match=r"^trial 5 failed: broken in process \d+$") as failed:
+        run_clt_experiment(config)
+    assert multiprocessing.active_children() == []
+    pooled = len(os.sched_getaffinity(0)) > 1 and bool(_openblas_thread_controls())
+    assert (not failed.value.args[0].endswith(f" {os.getpid()}")) == pooled
 
 
 def test_radial_ks_on_synthetic_disc():

@@ -7,11 +7,13 @@ import pytest
 from centro_spectra.linalg import (
     PowerIterationError,
     Spectrum,
+    _openblas_thread_controls,
     as_complex_matrix,
     complex_from_pairs,
     complex_to_pairs,
     counter_identity,
     operator_norm_estimate,
+    single_blas_thread,
 )
 
 
@@ -116,3 +118,14 @@ def test_json_dumps_keep_signed_zero_and_subnormal():
     obj = json.loads(text)
     assert obj["first"] == [-0.0, TINY]
     assert np.array_equal(_bits(complex_from_pairs(obj["entries"]).reshape(3, 3)), _bits(m))
+
+
+def test_single_blas_thread_pins_and_restores():
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread-count entry point")
+    before = [get() for _, get in controls]
+    with single_blas_thread() as pinned:
+        assert pinned
+        assert [get() for _, get in controls] == [1] * len(controls)
+    assert [get() for _, get in controls] == before
