@@ -6,8 +6,9 @@ hook ``linalg.complex_to_pairs`` writes each complex value as [re, im].
 Commands are deterministic given their flags: every randomized command takes
 --seed.  --threads caps the worker processes that run clt and resolvent-cov
 trials (default: one per CPU) and is recorded in the config JSON; the
-outputs are the same bytes whatever its value.  Exit codes: 0 success, 1 validation failure (bad flags or values, found before
-any trial runs), 2 runtime error (including a failed trial).
+outputs are the same bytes whatever its value.  Exit codes: 0 success,
+1 validation failure (bad flags or values, found before any trial runs),
+2 runtime error (including a failed trial).
 """
 
 from __future__ import annotations

@@ -3,21 +3,7 @@
 Three experiments share one trial solver, ``_solve_trial``: trial t is
 drawn from seed substream t, ``SeedStream(master_seed, t)``, and solved on
 its two blocks, and each experiment computes its statistics from the
-spectra.  A trial that fails (a draw, or a solve that breaks the trace
-contract or returns a non-finite spectrum) raises ``RuntimeError`` naming
-the trial, which the CLI reports as exit code 2 in every experiment.
-
-The CLT and resolvent-covariance experiments run their trials on a pool of
-forked worker processes, at most ``RunConfig.threads`` of them (all CPUs
-when unset), never more than the CPUs or the trials; with one worker they
-run inline.  The eigensolve holds the GIL, so threads could not share the
-work.  The whole engine runs with OpenBLAS on one thread, which the
-workers inherit: results are consumed in index order and are the same to
-the bit for every ``threads`` value and every BLAS thread setting.  Where
-no OpenBLAS entry point is found, ``fork`` is unavailable or the process
-runs other threads, trials run inline (with BLAS as configured when no
-entry point is found).  The circular law (one or a few large
-samples) runs inline with BLAS's own threads:
+spectra:
 
 * circular law: eigenvalue cloud of one (or a few) large samples against
   the uniform law on the unit disc (radial KS, angular chi-square, outlier
@@ -28,16 +14,29 @@ samples) runs inline with BLAS's own threads:
 * resolvent-trace covariance: empirical Cov(Tr R_z, conj Tr R_eta) against
   the kernel 2 (1 - z conj(eta))^-2 for contour points outside the disc.
 
-Trials whose spectral radius exceeds the norm guard ``rho`` are rejected
-and counted, never silently dropped.
+A trial that fails (a draw, or a solve that breaks the trace contract or
+returns a non-finite spectrum) raises ``RuntimeError`` naming the trial,
+which the CLI reports as exit code 2 in every experiment.  Trials whose
+spectral radius exceeds the norm guard ``rho`` are rejected and counted,
+never silently dropped.
+
+The CLT and resolvent-covariance experiments run their trials on a pool of
+forked worker processes, at most ``RunConfig.threads`` of them (all CPUs
+when unset) and never more than the CPUs or the trials; with one worker
+they run inline.  Threads could not share the work, because the
+eigensolve holds the GIL.  The whole engine runs with OpenBLAS on one
+thread, which the workers inherit, and results are consumed in index
+order, so they are the same to the bit for every ``threads`` value and
+every BLAS thread setting.  Trials run inline where no OpenBLAS entry point
+is found (with BLAS as configured), ``fork`` is unavailable or the process
+runs other threads.  The circular law (one or a few large samples) runs
+inline with BLAS's own threads.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -263,6 +262,22 @@ def _worker_count(threads: int | None, trials: int, cpus: int) -> int:
     return min(threads or cpus, cpus, trials)
 
 
+def _fork_pool(workers: int):
+    """A pool of ``workers`` forked processes, or None where ``fork`` is
+    unavailable or unsafe (the process runs other threads).
+
+    Forked workers inherit the one-thread BLAS and any wrapper installed on
+    this module.  multiprocessing is imported here, so that commands which
+    never pool do not load it.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return None
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
 def _run_trials(config: RunConfig) -> TrialBatch:
     """Solve every trial, on a worker pool when more than one worker is
     allowed, with OpenBLAS on one thread throughout (see the module notes)."""
@@ -270,12 +285,9 @@ def _run_trials(config: RunConfig) -> TrialBatch:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = _worker_count(config.threads, config.trials, cpus or 1)
     with single_blas_thread() as pinned:
-        # Forked workers inherit the one-thread BLAS and any wrapper installed
-        # on this module; fork is unsafe once the process has other threads.
-        forkable = "fork" in multiprocessing.get_all_start_methods()
-        if workers == 1 or not pinned or not forkable or threading.active_count() > 1:
+        pool = _fork_pool(workers) if workers > 1 and pinned else None
+        if pool is None:
             return _evaluate_trials(config, map(solve, range(config.trials)))
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
             chunksize = max(1, config.trials // (4 * workers))
             return _evaluate_trials(
