@@ -46,6 +46,8 @@ COMMANDS = (
      "--out", "clt_odd.json"],
     ["circular-law", "--n", "200", "--trials", "2", "--seed", "19", "--out", "circ2.json"],
     ["moments", "--n", "7", "--k", "4", "--l", "4", "--out", "moments_k4.json"],
+    ["moments", "--n", "11", "--k", "6", "--l", "6", "--out", "moments_k6_odd.json"],
+    ["moments", "--n", "64", "--k", "5", "--l", "5", "--out", "moments_k5_even.json"],
 )
 
 GOLDEN = {
@@ -61,6 +63,8 @@ GOLDEN = {
     "cov.jsonl": "dfb8ecac4dc8b45474af2ce9ec90a525f9816f96d3cfb4b1c1cf28caf6c1a1a3",
     "moments_exact.json": "cd8c1a52c363af8314663a8fd99afe94e88f4dc72be5fc53c8850a84cd6af93b",
     "moments_k4.json": "4ea3e5caa38aad942ac40708835acaab51b8baa2431ba1f067ac4b2b6ec0897c",
+    "moments_k5_even.json": "427b30a53ed343a321f0f0b6db5237d3edae521d4944beddf393a904d6e11448",
+    "moments_k6_odd.json": "5d7e25acba7fb253269ef0c89ac5ea1ee234dc75c9b2a394061ee31bb9ac86bd",
     "moments_mc.json": "4979ec315eaf980db86e1bd4aa318faee771f6333bb092aa79b8d9a415731a9e",
     "reduce.json": "b57828cb590869cfa068366ea9b109b189e29b4fe99928d9b624f9de96c8d336",
     "sample.json": "503b940f919d53686687a0a0362ed3d52ac6a4b94af03d365fc84951cdfef98a",
