@@ -35,7 +35,6 @@ inline with BLAS's own threads.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -44,7 +43,7 @@ import numpy as np
 from scipy.special import chdtrc, ndtr
 
 from .eigen import eigenvalues_centrosymmetric, spectral_radius
-from .linalg import Spectrum, as_complex_matrix, single_blas_thread
+from .linalg import Spectrum, as_complex_matrix, available_cpus, single_blas_thread
 from .sampling import SeedStream, sample_centrosymmetric
 
 __all__ = [
@@ -282,8 +281,7 @@ def _run_trials(config: RunConfig) -> TrialBatch:
     """Solve every trial, on a worker pool when more than one worker is
     allowed, with OpenBLAS on one thread throughout (see the module notes)."""
     solve = partial(_solve_trial, config.n, config.master_seed)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = _worker_count(config.threads, config.trials, cpus or 1)
+    workers = _worker_count(config.threads, config.trials, available_cpus())
     with single_blas_thread() as pinned:
         pool = _fork_pool(workers) if workers > 1 and pinned else None
         if pool is None:

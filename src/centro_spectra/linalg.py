@@ -2,7 +2,8 @@
 
 Matrices are plain numpy arrays of complex128, treated as immutable values:
 every function returns fresh arrays and never mutates its inputs.
-``single_blas_thread`` runs a block with OpenBLAS on one thread.
+``single_blas_thread`` runs a block with OpenBLAS on one thread, and
+``available_cpus`` is the CPU count that sizes every worker pool.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "PowerIterationError",
     "Spectrum",
     "as_complex_matrix",
+    "available_cpus",
     "complex_from_pairs",
     "complex_to_pairs",
     "counter_identity",
@@ -121,6 +123,14 @@ def operator_norm_estimate(m, tol: float = 1e-6, max_iterations: int | None = No
         last_estimate=sigma,
         iterations=cap,
     )
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports
+    one (so ``taskset`` counts), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _openblas_thread_controls() -> list:

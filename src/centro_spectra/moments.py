@@ -11,20 +11,23 @@ That makes mixed trace moments exactly computable in two independent ways:
   multiset S of variables (p_v copies of v), so the moment is
   sum_S c(S)^2 w(S), where c(S) counts the chains reading S; the sum is
   taken in exact integers;
-* pairing count: expand the expectation over Wick matchings between
-  unconjugated and conjugated factors; each matching contributes the number
-  of index assignments compatible with its equality/mirror constraints,
-  counted exactly with a parity union-find.  Every count is a power of n
-  (or zero for even n), so one pass per k yields n^k times the moment as an
-  integer polynomial in n for each parity of n; it is cached per k and any
-  n then costs one evaluation over its 2k + 1 coefficients.
+* pairing count: for Gaussian entries the reduction M ~ diag(T1, T2)
+  gives two independent blocks of i.i.d. circular entries, so the moment is
+  E|Tr T1^k|^2 + E|Tr T2^k|^2, each a sum over the Wick pairings of its
+  factors.  A pairing's equality constraints leave c classes of indices,
+  found with a plain union-find, and a block of side s adds s^c; for odd n
+  the centre entry of T1 (half the variance) adds a sum over the subsets
+  of classes that take the centre index.  One pass per k yields n^k times
+  the moment as an integer polynomial in s = n // 2 for each parity of n;
+  it is cached per k and any n then costs one evaluation over its k + 1
+  coefficients.
 
 Both paths return exact rationals and must agree wherever both run; the
 Monte Carlo estimator cross-checks them statistically.  It never forms M:
 the exact reduction M ~ diag(T1, T2) gives Tr M^k = Tr T1^k + Tr T2^k, so
 each chunk of sampled halves is split into its two blocks, and powers are
 taken only to half depth, Tr T^k = sum_ij (T^floor(k/2))_ij (T^ceil(k/2))_ji.
-The chunks run on a thread pool of up to os.cpu_count() threads (the
+The chunks run on a thread pool of up to available_cpus() threads (the
 Philox fills and the stacked matmuls release the GIL) and their partial
 sums are added in chunk order, so the estimate does not depend on the
 number of cores.  Values are already scaled by n^{-(k+l)/2}, matching
@@ -33,7 +36,6 @@ traces of the 1/sqrt(n)-scaled matrix.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +46,7 @@ from math import factorial, prod
 
 import numpy as np
 
+from .linalg import available_cpus
 from .reduction import split_blocks
 from .sampling import STANDARD_COMPLEX_GAUSSIAN, SeedStream, _sample_batch
 
@@ -61,7 +64,7 @@ __all__ = [
 ]
 
 ENUMERATION_BUDGET = 10**8          # index tuples
-_MATCHING_BUDGET = 2 * 10**6        # k! * 3^k constraint systems
+_MATCHING_BUDGET = 10**5            # (k-1)! * 2^(k+1) pairing-subset steps
 _MC_CHUNK = 4096                    # trials drawn per substream
 
 
@@ -95,7 +98,6 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class MomentResult:
-    query: MomentQuery
     exact_value: Fraction
     mc_estimate: McEstimate | None
     asymptotic_prediction: float
@@ -116,9 +118,11 @@ def exact_mixed_trace_moment(q: MomentQuery, method: str = "auto") -> Fraction:
                       sum_S c(S)^2 w(S) over their id multisets S; raises
                       BudgetExceededError when the n^(k+l) chain pairs
                       exceed ENUMERATION_BUDGET;
-      "matchings"   - Wick pairing count: the first call for a k walks
-                      (k-1)! 3^k constraint systems into two parity
-                      polynomials in n, cached; each n then costs O(k);
+      "matchings"   - Wick pairing count on the blocks T1, T2: the first
+                      call for a k walks the (k-1)! pairings with
+                      pi(0) = 0 and their centre subsets into two parity
+                      polynomials in n // 2, cached; each n then costs O(k);
+                      raises BudgetExceededError from k = 7;
       "auto"        - enumeration when affordable, matchings otherwise.
 
     Whenever k != l some free variable must appear with unequal conjugated
@@ -166,136 +170,68 @@ def _enumeration_exact(n: int, k: int) -> Fraction:
     return Fraction(total, n**k)
 
 
-class _UndoableParityUnionFind:
-    """Union-find over index variables with a same/mirrored parity per edge.
-
-    A class whose members are forced equal to their own mirror is 'pinned':
-    it admits exactly one value (the center index) when n is odd and none
-    when n is even; every other class ranges freely over n values.  Union by
-    size without path compression changes a few slots per call; a log of
-    those changes lets `undo(mark)` restore the state at `len(log) == mark`.
-    """
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-        self.parity = [0] * size  # parity of the edge to the parent
-        self.pinned = [False] * size  # read at roots only
-        self.classes = size
-        self.pinned_classes = 0
-        # (child, root, root was pinned); child == root logs a pin
-        self.log: list[tuple[int, int, bool]] = []
-
-    def find(self, x: int) -> tuple[int, int]:
-        p = 0
-        while self.parent[x] != x:
-            p ^= self.parity[x]
-            x = self.parent[x]
-        return x, p
-
-    def union(self, x: int, y: int, rel: int):
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            if (px ^ py) != rel:
-                # u = v and u = mirror(v) together pin the whole class.
-                self._pin_root(rx)
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.log.append((ry, rx, self.pinned[rx]))
-        self.parent[ry] = rx
-        self.parity[ry] = px ^ py ^ rel
-        self.size[rx] += self.size[ry]
-        self.classes -= 1
-        if self.pinned[ry]:
-            if self.pinned[rx]:
-                self.pinned_classes -= 1
-            self.pinned[rx] = True
-
-    def pin(self, x: int):
-        self._pin_root(self.find(x)[0])
-
-    def _pin_root(self, root: int):
-        if not self.pinned[root]:
-            self.log.append((root, root, False))
-            self.pinned[root] = True
-            self.pinned_classes += 1
-
-    def undo(self, mark: int):
-        while len(self.log) > mark:
-            child, root, was_pinned = self.log.pop()
-            if child == root:
-                self.pinned_classes -= 1
-            else:
-                self.parent[child] = child
-                self.parity[child] = 0
-                self.size[root] -= self.size[child]
-                self.classes += 1
-                if was_pinned and self.pinned[child]:
-                    self.pinned_classes += 1
-            self.pinned[root] = was_pinned
-
-
 @lru_cache(maxsize=None)
 def _matching_polynomials(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Coefficients, by power of n, of n^k E[Tr(M^k) Tr(conj(M)^k)] for even and odd n.
+    """Coefficients, by power of s = n // 2, of n^k E[Tr(M^k) Tr(conj(M)^k)]
+    for even and odd n.
 
-    Every pairing matches factor a of the first chain with factor pi(a) of
-    the second; the covariance indicator [f(A) = f(B)] expands into
-    [A = B] + [A = mirror(B)] - [A = B = mirror(B)], so each pairing yields
-    3^k signed constraint systems.  A system with c free classes has n^c
-    solutions when no class is pinned; a pinned class leaves n^c for odd n
-    and none for even n.  Each system thus adds its sign to the n^c
-    coefficient of the odd polynomial, and of the even one when unpinned.
+    For Gaussian entries M ~ diag(T1, T2) with independent blocks, and
+    E[Tr T^k] = 0, so the moment is E|Tr T1^k|^2 + E|Tr T2^k|^2.  Unscaled,
+    both blocks have i.i.d. circular entries of variance 2 and side s,
+    except that for odd n T1 has side s + 1 and its centre entry has
+    variance 1.  Every pairing pi matches factor a of the first chain with
+    factor pi(a) of the second, forcing i_a = j_pi(a) and
+    i_{a+1} = j_{pi(a)+1}; a plain union-find leaves c classes of equal
+    indices.  A block of side s with variance 2 thus adds 2^k s^c.  For
+    odd T1, the classes in a subset S take the centre index and the rest
+    range over s values, adding s^(c - |S|) 2^(k - e(S)), where e(S) counts
+    the first chain's factors with both indices in S.
 
-    Relabelling the second chain j_b -> j_{b+s} maps the systems of pi to
-    those of pi + s (mod k) with the same counts, and every orbit of this
-    action has k members, so only pi(0) = 0 is walked and the sums are
-    multiplied by k.  The 3^k term choices are walked depth first on one
-    undoable union-find, so systems sharing a prefix share its unions.
+    Relabelling the second chain j_b -> j_{b+r} maps pi to pi + r (mod k)
+    with the same counts, and every orbit of this action has k members, so
+    only pi(0) = 0 is walked and the sums are multiplied by k.
     """
-    uf = _UndoableParityUnionFind(2 * k)  # i_0..i_{k-1}, j_0..j_{k-1}
-    even = [0] * (2 * k + 1)
-    odd = [0] * (2 * k + 1)
-
-    def walk(perm: tuple[int, ...], a: int, sign: int):
-        if a == k:
-            free = uf.classes - uf.pinned_classes
-            odd[free] += sign
-            if not uf.pinned_classes:
-                even[free] += sign
-            return
-        b = perm[a]
-        ia, ia1 = a, (a + 1) % k
-        jb, jb1 = k + b, k + (b + 1) % k
-        for rel in (0, 1):  # [A = B], [A = mirror(B)]
-            mark = len(uf.log)
-            uf.union(ia, jb, rel)
-            uf.union(ia1, jb1, rel)
-            walk(perm, a + 1, sign)
-            if rel == 0:  # -[A = B = mirror(B)]: the same unions, both j pinned
-                uf.pin(jb)
-                uf.pin(jb1)
-                walk(perm, a + 1, -sign)
-            uf.undo(mark)
-
+    even = [0] * (k + 1)
+    odd = [0] * (k + 1)
     for rest in permutations(range(1, k)):
-        walk((0, *rest), 0, 1)
+        parent = list(range(2 * k))  # i_0..i_{k-1}, j_0..j_{k-1}
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for a, b in enumerate((0, *rest)):
+            for x, y in ((a, k + b), ((a + 1) % k, k + (b + 1) % k)):
+                parent[find(x)] = find(y)
+        # every j is joined to an i, so the classes are those of the i
+        label = {root: c for c, root in enumerate({find(a) for a in range(k)})}
+        edges = [1 << label[find(a)] | 1 << label[find((a + 1) % k)] for a in range(k)]
+        classes = len(label)
+        even[classes] += 2 * 2**k
+        odd[classes] += 2**k
+        for subset in range(1 << classes):
+            inside = sum(edge & subset == edge for edge in edges)
+            odd[classes - subset.bit_count()] += 2 ** (k - inside)
     return tuple(k * c for c in even), tuple(k * c for c in odd)
 
 
 def _matching_exact(n: int, k: int) -> Fraction:
-    """Wick pairing count for E[Tr(M^k) Tr(conj(M)^k)]: the parity
-    polynomial of k, evaluated at n."""
-    systems = factorial(k) * 3**k
-    if systems > _MATCHING_BUDGET:
+    """Wick pairing count for E[Tr(M^k) Tr(conj(M)^k)]: the polynomial of
+    k for the parity of n, evaluated at s = n // 2.
+
+    Building a polynomial walks (k-1)! pairings, each with at most k
+    classes and so at most 2^k centre subsets: under (k-1)! 2^(k+1) steps,
+    which the budget admits for k <= 6.
+    """
+    steps = factorial(k - 1) * 2 ** (k + 1)
+    if steps > _MATCHING_BUDGET:
         raise BudgetExceededError(
-            f"k = {k} needs {systems} constraint systems, over the budget {_MATCHING_BUDGET}"
+            f"k = {k} needs up to {steps} pairing-subset steps, over the budget {_MATCHING_BUDGET}"
         )
     total = 0
     for coeff in reversed(_matching_polynomials(k)[n % 2]):
-        total = total * n + coeff
+        total = total * (n // 2) + coeff
     return Fraction(total, n**k)
 
 
@@ -305,14 +241,14 @@ def mc_trace_moment(q: MomentQuery, trials: int, stream: SeedStream) -> McEstima
     Trials are drawn in chunks of _MC_CHUNK, chunk i from substream
     stream.child(i).  Each chunk is split into its blocks, Tr M^d is taken
     as Tr T1^d + Tr T2^d from powers of half depth, and the chunks run on a
-    thread pool of up to os.cpu_count() threads.  The partial sums are
+    thread pool of up to available_cpus() threads.  The partial sums are
     added in chunk order, so the estimate is the same to the bit whatever
     the pool size.
     """
     if trials < 10**3:
         raise ValueError(f"need at least 10^3 trials, got {trials}")
     counts = [min(_MC_CHUNK, trials - start) for start in range(0, trials, _MC_CHUNK)]
-    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(counts))) as pool:
+    with ThreadPoolExecutor(min(available_cpus(), len(counts))) as pool:
         partials = list(pool.map(
             lambda i: _mc_chunk(q, stream.child(i), counts[i]), range(len(counts))
         ))
@@ -364,6 +300,4 @@ def moment_result(
         mc = mc_trace_moment(q, mc_trials, stream if stream is not None else SeedStream(0, 0))
     exact = exact_mixed_trace_moment(q)
     prediction = asymptotic_prediction(q.k, q.l) if q.l >= 1 else 0.0
-    return MomentResult(
-        query=q, exact_value=exact, mc_estimate=mc, asymptotic_prediction=prediction
-    )
+    return MomentResult(exact_value=exact, mc_estimate=mc, asymptotic_prediction=prediction)

@@ -28,7 +28,7 @@ from centro_spectra.harness import (
     run_clt_experiment,
     run_covariance_kernel_experiment,
 )
-from centro_spectra.linalg import Spectrum, _openblas_thread_controls
+from centro_spectra.linalg import Spectrum, _openblas_thread_controls, available_cpus
 from centro_spectra.sampling import SeedStream, sample_centrosymmetric
 
 P_LINEAR = TestPolynomial(coeffs=(1.0,))
@@ -210,7 +210,7 @@ def test_pooled_failure_names_the_first_failed_trial(monkeypatch):
     with pytest.raises(RuntimeError, match=r"^trial 5 failed: broken in process \d+$") as failed:
         run_clt_experiment(config)
     assert multiprocessing.active_children() == []
-    pooled = len(os.sched_getaffinity(0)) > 1 and bool(_openblas_thread_controls())
+    pooled = available_cpus() > 1 and bool(_openblas_thread_controls())
     assert (not failed.value.args[0].endswith(f" {os.getpid()}")) == pooled
 
 

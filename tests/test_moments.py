@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -125,14 +124,15 @@ def test_single_chain_vanishes():
 
 
 def test_enumeration_agrees_with_matchings():
-    # two independent exact routes over every admitted (n <= 12, k <= 4) and
-    # the largest admitted n at k = 3, 4, 5, 6
+    # two independent exact routes over every admitted (n <= 12, k <= 4),
+    # the largest admitted n at k = 3, 4, 5, 6 and an odd n at k = 5, 6:
+    # enumeration walks M's mirror pairing, matchings walk the blocks T1, T2
     grid = [(n, k) for k in range(1, 5) for n in range(1, 13)
             if MomentQuery(n, k, k).tuple_count <= ENUMERATION_BUDGET]
     edges = [(21, 3), (10, 4), (6, 5), (4, 6)]
     for n, k in edges:
         assert MomentQuery(n + 1, k, k).tuple_count > ENUMERATION_BUDGET
-    for n, k in grid + edges:
+    for n, k in grid + edges + [(5, 5), (3, 6)]:
         q = MomentQuery(n, k, k)
         enum = exact_mixed_trace_moment(q, method="enumeration")
         pairs = exact_mixed_trace_moment(q, method="matchings")
@@ -169,6 +169,17 @@ def test_matchings_k1_closed_form():
     # each diagonal entry pairs with itself and its mirror; the center only with itself
     for n in range(1, 65):
         assert _matching_exact(n, 1) == 2 - Fraction(n % 2, n)
+
+
+def test_even_matchings_equal_the_ginibre_pairing_sum():
+    # even n = 2s: T1, T2 are independent s x s blocks of i.i.d. entries of
+    # variance 2/n, and a unit-variance s x s Ginibre G has
+    # E|Tr G^k|^2 = sum_{j = max(0, s-k)}^{s-1} (j+k)!/j!
+    for n in range(2, 201, 2):
+        s = n // 2
+        for k in range(1, 7):
+            pairing_sum = sum(factorial(j + k) // factorial(j) for j in range(max(0, s - k), s))
+            assert _matching_exact(n, k) == Fraction(2 * pairing_sum, s**k), (n, k)
 
 
 def test_diagonal_values_real_nonnegative():
@@ -217,8 +228,9 @@ def test_enumeration_budget():
 
 
 def test_matching_budget():
-    with pytest.raises(BudgetExceededError):
-        exact_mixed_trace_moment(MomentQuery(4, 8, 8), method="matchings")
+    for k in (7, 8):
+        with pytest.raises(BudgetExceededError):
+            exact_mixed_trace_moment(MomentQuery(4, k, k), method="matchings")
 
 
 def test_query_validation():
@@ -325,7 +337,7 @@ def test_mc_does_not_depend_on_the_pool_size(monkeypatch, cpus):
     q = MomentQuery(7, 3, 2)
     trials = 3 * _MC_CHUNK + 1000
     pooled = mc_trace_moment(q, trials, SeedStream(4, 2))
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(moments, "available_cpus", lambda: cpus)
     assert mc_trace_moment(q, trials, SeedStream(4, 2)) == pooled
 
 
