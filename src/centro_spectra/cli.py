@@ -178,8 +178,8 @@ def _cmd_sample(args) -> int:
     cm = _sampled(args)
     payload = {
         "n": cm.n,
-        "seed": cm.seed,
-        "stream_index": cm.stream_index,
+        "seed": args.seed,
+        "stream_index": args.stream,
         "dist": STANDARD_COMPLEX_GAUSSIAN.kind,
         "entries": cm.matrix.ravel(),  # row-major over the full matrix
     }
@@ -193,7 +193,7 @@ def _cmd_reduce(args) -> int:
     residual = verify_reduction(cm, red)
     payload = {
         "n": cm.n,
-        "seed": cm.seed,
+        "seed": args.seed,
         "parity": red.parity,
         "t1": red.t1,
         "t2": red.t2,

@@ -43,7 +43,7 @@ def eigenvalues_dense(m, tol: float = 1e-8) -> Spectrum:
     m = as_complex_matrix(m)
     n = m.shape[0]
     if n == 0:
-        return Spectrum(eigenvalues=np.empty(0, dtype=np.complex128), source_dim=0)
+        return Spectrum(eigenvalues=np.empty(0, dtype=np.complex128))
     try:
         lam = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
@@ -58,20 +58,17 @@ def eigenvalues_dense(m, tol: float = 1e-8) -> Spectrum:
             f"eigenvalue trace contract violated: |dTr|={trace_err:.3e}, "
             f"|dTr2|={trace2_err:.3e} at tol={tol}"
         )
-    return Spectrum(eigenvalues=lam, source_dim=n)
+    return Spectrum(eigenvalues=lam)
 
 
 def eigenvalues_centrosymmetric(cm: CentrosymmetricMatrix) -> Spectrum:
     """Eigenvalues of M as the union of the spectra of T1 and T2."""
     if cm.n == 1:
-        return Spectrum(eigenvalues=cm.half.ravel().copy(), source_dim=1)
+        return Spectrum(eigenvalues=cm.half.ravel().copy())
     red = block_reduce(cm)
     lam1 = eigenvalues_dense(red.t1)
     lam2 = eigenvalues_dense(red.t2)
-    return Spectrum(
-        eigenvalues=np.concatenate([lam1.eigenvalues, lam2.eigenvalues]),
-        source_dim=cm.n,
-    )
+    return Spectrum(eigenvalues=np.concatenate([lam1.eigenvalues, lam2.eigenvalues]))
 
 
 def spectral_radius(spec: Spectrum) -> float:

@@ -1,6 +1,6 @@
 """Monte Carlo experiments on the centrosymmetric ensemble.
 
-Three experiments share one trial solver, ``_solve_trial``: trial t is
+Three experiments share one trial solver, ``_solved_trial``: trial t is
 drawn from seed substream t, ``SeedStream(master_seed, t)``, and solved on
 its two blocks, and each experiment computes its statistics from the
 spectra:
@@ -14,28 +14,31 @@ spectra:
 * resolvent-trace covariance: empirical Cov(Tr R_z, conj Tr R_eta) against
   the kernel 2 (1 - z conj(eta))^-2 for contour points outside the disc.
 
-A trial that fails (a draw, or a solve that breaks the trace contract or
-returns a non-finite spectrum) raises ``RuntimeError`` naming the trial,
-which the CLI reports as exit code 2 in every experiment.  Trials whose
-spectral radius exceeds the norm guard ``rho`` are rejected and counted,
-never silently dropped.
+A trial that fails (a draw, a solve that breaks the trace contract or
+returns a non-finite spectrum, or a statistic) raises ``RuntimeError``
+naming the trial, which the CLI reports as exit code 2 in every
+experiment.  Trials whose spectral radius exceeds the norm guard ``rho``
+are rejected and counted, never silently dropped.
 
-The CLT and resolvent-covariance experiments run their trials on a pool of
-forked worker processes, at most ``RunConfig.threads`` of them (all CPUs
-when unset) and never more than the CPUs or the trials; with one worker
-they run inline.  Threads could not share the work, because the
-eigensolve holds the GIL.  The whole engine runs with OpenBLAS on one
-thread, which the workers inherit, and results are consumed in index
-order, so they are the same to the bit for every ``threads`` value and
-every BLAS thread setting.  Trials run inline where no OpenBLAS entry point
-is found (with BLAS as configured), ``fork`` is unavailable or the process
-runs other threads.  The circular law (one or a few large samples) runs
-inline with BLAS's own threads.
+In the CLT and resolvent-covariance experiments, ``_trial_record`` solves,
+guards and evaluates trial t where it is drawn, so a trial yields only its
+radius, L(P) and Tr R_z.  The records come from a pool of forked worker
+processes, at most ``RunConfig.threads`` of them (all CPUs when unset)
+and never more than the CPUs, the trials or one per ``_WORK_PER_WORKER``
+of n^3 * trials; with one worker they run inline.  Threads could not
+share the work, because the eigensolve holds the GIL.  The whole engine
+runs with OpenBLAS on one thread, which the workers inherit, and records
+are consumed in index order, so they are the same to the bit for every
+``threads`` value and every BLAS thread setting.  Trials run inline where
+no OpenBLAS entry point is found (with BLAS as configured), ``fork`` is
+unavailable or the process runs other threads.  The circular law (one or
+a few large samples) runs inline with BLAS's own threads.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -242,23 +245,52 @@ class TrialBatch:
         )
 
 
-def _solve_trial(n: int, master_seed: int, t: int) -> Spectrum:
-    """Draw trial t from ``SeedStream(master_seed, t)`` and solve it through
-    the block path; any failure is re-raised as RuntimeError naming t.
-
-    The sampler and the solver are looked up when the trial runs, so a
-    wrapper installed on this module reaches pool workers forked after it.
-    """
+@contextmanager
+def _solved_trial(config: RunConfig, t: int):
+    """Draw trial t from ``SeedStream(config.master_seed, t)``, solve it on
+    its blocks and yield the spectrum; a failure in the solve or in the
+    caller's block is re-raised as RuntimeError naming t.  The sampler, the
+    solver and the statistics are looked up when the trial runs, so a
+    wrapper installed on this module reaches pool workers forked after it."""
     try:
-        return eigenvalues_centrosymmetric(sample_centrosymmetric(n, SeedStream(master_seed, t)))
+        yield eigenvalues_centrosymmetric(
+            sample_centrosymmetric(config.n, SeedStream(config.master_seed, t))
+        )
     except Exception as exc:
         raise RuntimeError(f"trial {t} failed: {exc}") from exc
 
 
-def _worker_count(threads: int | None, trials: int, cpus: int) -> int:
+def _trial_record(config: RunConfig, t: int) -> TrialRecord:
+    """Solve trial t, apply the norm guard and, on an accepted trial,
+    evaluate L(P) when ``config.poly`` is set and Tr R_z at every contour
+    point.  Only this record leaves a pool worker."""
+    with _solved_trial(config, t) as spec:
+        radius = spectral_radius(spec)
+        contour = config.contour_points
+        accepted = radius <= config.rho
+        if accepted and contour:
+            # Resolvents stay well conditioned only with a margin between
+            # the contour and the spectrum.
+            min_abs_z = min(abs(z) for z in contour)
+            accepted = 1.2 * radius <= min_abs_z and min_abs_z - radius >= config.tau
+        if not accepted:
+            return TrialRecord(t, radius, False)
+        les_value = None if config.poly is None else les(spec, config.poly)
+        resolvent = {z: resolvent_trace(spec, z) for z in contour}
+        return TrialRecord(t, radius, True, les_value, resolvent)
+
+
+# n^3 * trials that one more worker process must have to earn its fork: on
+# 2 vCPUs a pool of two lost to one inline worker at n x trials = 32 x 20
+# and won at 64 x 20, so the crossover is near 3e6.
+_WORK_PER_WORKER = 1_500_000
+
+
+def _worker_count(threads: int | None, n: int, trials: int, cpus: int) -> int:
     """Worker processes of one run: the ``threads`` cap (all CPUs when
-    None), never more than the CPUs or the trials."""
-    return min(threads or cpus, cpus, trials)
+    None), never more than the CPUs, the trials or one per
+    ``_WORK_PER_WORKER`` of n^3 * trials, so that tiny runs stay inline."""
+    return min(threads or cpus, cpus, trials, max(1, n**3 * trials // _WORK_PER_WORKER))
 
 
 def _fork_pool(workers: int):
@@ -278,53 +310,21 @@ def _fork_pool(workers: int):
 
 
 def _run_trials(config: RunConfig) -> TrialBatch:
-    """Solve every trial, on a worker pool when more than one worker is
-    allowed, with OpenBLAS on one thread throughout (see the module notes)."""
-    solve = partial(_solve_trial, config.n, config.master_seed)
-    workers = _worker_count(config.threads, config.trials, available_cpus())
+    """The records of trials 0, 1, ... in index order, built on a worker
+    pool when more than one worker is allowed, with OpenBLAS on one thread
+    throughout (see the module notes)."""
+    record = partial(_trial_record, config)
+    workers = _worker_count(config.threads, config.n, config.trials, available_cpus())
     with single_blas_thread() as pinned:
         pool = _fork_pool(workers) if workers > 1 and pinned else None
         if pool is None:
-            return _evaluate_trials(config, map(solve, range(config.trials)))
+            return TrialBatch(config=config, records=tuple(map(record, range(config.trials))))
         try:
             chunksize = max(1, config.trials // (4 * workers))
-            return _evaluate_trials(
-                config, pool.map(solve, range(config.trials), chunksize=chunksize)
-            )
+            records = tuple(pool.map(record, range(config.trials), chunksize=chunksize))
         finally:  # after a failed trial, start no pending chunk
             pool.shutdown(cancel_futures=True)
-
-
-def _evaluate_trials(config: RunConfig, spectra) -> TrialBatch:
-    """Guard and evaluate the spectra of trials 0, 1, ... in index order:
-    L(P) when ``config.poly`` is set and Tr R_z at every contour point, on
-    accepted trials only."""
-    contour = config.contour_points
-    min_abs_z = min((abs(z) for z in contour), default=None)
-    records = []
-    for t, spec in enumerate(spectra):
-        radius = spectral_radius(spec)
-        accepted = radius <= config.rho
-        if accepted and min_abs_z is not None:
-            # Resolvents stay well conditioned only with a margin between
-            # the contour and the spectrum.
-            accepted = 1.2 * radius <= min_abs_z and min_abs_z - radius >= config.tau
-        les_value = None
-        resolvent: dict = {}
-        if accepted:
-            if config.poly is not None:
-                les_value = les(spec, config.poly)
-            resolvent = {z: resolvent_trace(spec, z) for z in contour}
-        records.append(
-            TrialRecord(
-                trial_index=t,
-                spectral_radius=radius,
-                accepted=accepted,
-                les=les_value,
-                resolvent=resolvent,
-            )
-        )
-    return TrialBatch(config=config, records=tuple(records))
+    return TrialBatch(config=config, records=records)
 
 
 def _ks_distance(sample, cdf) -> float:
@@ -421,20 +421,20 @@ def run_circular_law_experiment(config: RunConfig) -> CircularLawReport:
         raise ValueError("circular-law experiment needs n >= 200")
     samples = []
     for t in range(config.trials):
-        spec = _solve_trial(config.n, config.master_seed, t)
-        lam = spec.eigenvalues
-        stat, pvalue = angular_chisquare(np.angle(lam))
-        samples.append(
-            CircularLawSample(
-                stream_index=t,
-                spectrum=spec,
-                radial_ks=radial_ks_statistic(np.abs(lam)),
-                angular_chi2=stat,
-                angular_pvalue=pvalue,
-                outlier_fraction=float((np.abs(lam) > 1.05).mean()),
-                spectral_radius=spectral_radius(spec),
+        with _solved_trial(config, t) as spec:
+            lam = spec.eigenvalues
+            stat, pvalue = angular_chisquare(np.angle(lam))
+            samples.append(
+                CircularLawSample(
+                    stream_index=t,
+                    spectrum=spec,
+                    radial_ks=radial_ks_statistic(np.abs(lam)),
+                    angular_chi2=stat,
+                    angular_pvalue=pvalue,
+                    outlier_fraction=float((np.abs(lam) > 1.05).mean()),
+                    spectral_radius=spectral_radius(spec),
+                )
             )
-        )
     return CircularLawReport(samples=tuple(samples))
 
 

@@ -2,6 +2,7 @@
 
 Matrices are plain numpy arrays of complex128, treated as immutable values:
 every function returns fresh arrays and never mutates its inputs.
+``Spectrum`` holds eigenvalues alone (its ``source_dim`` is their count).
 ``single_blas_thread`` runs a block with OpenBLAS on one thread, and
 ``available_cpus`` is the CPU count that sizes every worker pool.
 """
@@ -186,14 +187,13 @@ class Spectrum:
     """
 
     eigenvalues: np.ndarray
-    source_dim: int
 
     def __post_init__(self):
         values = np.asarray(self.eigenvalues, dtype=np.complex128).ravel()
         object.__setattr__(self, "eigenvalues", values)
-        if len(values) != self.source_dim:
-            raise ValueError(
-                f"{len(values)} eigenvalues for source_dim={self.source_dim}"
-            )
         if not (np.all(np.isfinite(values.real)) and np.all(np.isfinite(values.imag))):
             raise ValueError("spectrum has non-finite eigenvalues")
+
+    @property
+    def source_dim(self) -> int:
+        return len(self.eigenvalues)

@@ -21,6 +21,7 @@ J (A - JC) J in the lower block (same spectrum, different entries).
 Q itself is built for verification only: block_reduce reads the blocks
 straight off the half, and verify_reduction unfolds M, checks that it is
 exactly centrosymmetric and forms Q^T M Q as the independent check.
+BlockReduction holds T1 and T2 alone; n and its parity come from their sizes.
 """
 
 from __future__ import annotations
@@ -46,11 +47,14 @@ class BlockReduction:
 
     t1: np.ndarray
     t2: np.ndarray
-    parity: str  # "even" | "odd"
 
     @property
     def n(self) -> int:
         return self.t1.shape[0] + self.t2.shape[0]
+
+    @property
+    def parity(self) -> str:
+        return "odd" if self.n % 2 else "even"
 
     @property
     def q(self) -> np.ndarray:
@@ -109,7 +113,7 @@ def block_reduce(cm: CentrosymmetricMatrix) -> BlockReduction:
     if cm.n < 2:
         raise ValueError("block reduction needs n >= 2")
     t1, t2 = split_blocks(cm.half)
-    return BlockReduction(t1=t1, t2=t2, parity="even" if cm.n % 2 == 0 else "odd")
+    return BlockReduction(t1=t1, t2=t2)
 
 
 def verify_reduction(cm: CentrosymmetricMatrix, red: BlockReduction) -> float:

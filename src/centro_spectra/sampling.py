@@ -5,14 +5,16 @@ An n-by-n centrosymmetric matrix satisfies m[i, j] == m[n+1-i, n+1-j]
 ceil(n/2) rows [A | x | B] (the middle column x and the middle row, its own
 mirror, exist only for odd n), so only ceil(n^2/2) entries are free.
 CentrosymmetricMatrix stores just this half, which is all the block
-reduction needs since J C = B J; the bottom rows are mirror copies,
-unfolded on demand.  Free entries are drawn i.i.d. from the standard
-circular complex Gaussian and scaled by 1/sqrt(n), so every entry has mean
-zero and variance 1/n.
+reduction needs since J C = B J; n is its width, and the bottom rows are
+mirror copies, unfolded on demand.  Free entries are drawn i.i.d. from the
+standard circular complex Gaussian and scaled by 1/sqrt(n), so every entry
+has mean zero and variance 1/n.
 
 Randomness is counter-based (Philox keyed by (master_seed, stream_index)),
 so distinct trials get independent substreams and a draw depends on its
 (master_seed, stream_index) pair alone, not on what was drawn before it.
+A matrix does not record that pair; a caller that writes provenance
+writes the stream it drew from.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class SeedStream:
 
 @dataclass(frozen=True, eq=False)
 class CentrosymmetricMatrix:
-    """A centrosymmetric matrix stored as its top ceil(n/2) rows, with provenance.
+    """A centrosymmetric matrix stored as its top ceil(n/2) rows; n is their width.
 
     The bottom rows are the top ones rotated by 180 degrees and the odd-n
     middle row must be its own mirror, so the type cannot hold a matrix that
@@ -98,17 +100,18 @@ class CentrosymmetricMatrix:
     """
 
     half: np.ndarray
-    n: int
-    seed: int
-    stream_index: int
 
     def __post_init__(self):
         half = np.asarray(self.half, dtype=np.complex128)
         object.__setattr__(self, "half", half)
-        if half.shape != ((self.n + 1) // 2, self.n):
-            raise ValueError(f"half of shape {half.shape} does not match n={self.n}")
+        if half.ndim != 2 or half.shape[0] != (half.shape[1] + 1) // 2:
+            raise ValueError(f"half of shape {half.shape} is not ceil(n/2) by n")
         if self.n % 2 and not np.array_equal(half[-1], half[-1, ::-1]):
             raise ValueError("the middle row is not its own mirror")
+
+    @property
+    def n(self) -> int:
+        return self.half.shape[1]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -117,13 +120,11 @@ class CentrosymmetricMatrix:
 
     @classmethod
     def from_matrix(cls, matrix) -> "CentrosymmetricMatrix":
-        """Wrap an outside square matrix, checked to be exactly centrosymmetric
-        (provenance: seed 0, stream 0)."""
+        """Wrap an outside square matrix, checked to be exactly centrosymmetric."""
         m = as_complex_matrix(matrix)
         if not is_centrosymmetric(m):
             raise ValueError("matrix is not centrosymmetric")
-        n = m.shape[0]
-        return cls(m[: (n + 1) // 2].copy(), n, 0, 0)
+        return cls(m[: (m.shape[0] + 1) // 2].copy())
 
 
 def _unfold(half: np.ndarray) -> np.ndarray:
@@ -159,10 +160,7 @@ def sample_centrosymmetric(
     n: int, stream: SeedStream = SeedStream(0, 0)
 ) -> CentrosymmetricMatrix:
     """Draw one n-by-n random centrosymmetric matrix: the count=1 batch."""
-    half = _sample_batch(n, STANDARD_COMPLEX_GAUSSIAN, stream, 1)[0]
-    return CentrosymmetricMatrix(
-        half=half, n=n, seed=stream.master_seed, stream_index=stream.stream_index
-    )
+    return CentrosymmetricMatrix(_sample_batch(n, STANDARD_COMPLEX_GAUSSIAN, stream, 1)[0])
 
 
 def is_centrosymmetric(m) -> bool:

@@ -153,20 +153,25 @@ def test_unwritable_output_is_runtime_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["circular-law", "--n", "200", "--trials", "2"],
-    ["clt", "--n", "8", "--trials", "4", "--poly", "1"],
-    ["resolvent-cov", "--n", "8", "--trials", "4", "--contour", "2,0"],
-], ids=lambda argv: argv[0])
-def test_failed_trial_is_runtime_error_in_every_experiment(monkeypatch, capsys, argv):
-    def broken_solver(cm):
-        raise ValueError("trace contract violated")
+@pytest.mark.parametrize("argv, statistics", [
+    pytest.param(["circular-law", "--n", "200", "--trials", "2"],
+                 ("radial_ks_statistic", "angular_chisquare"), id="circular-law"),
+    pytest.param(["clt", "--n", "8", "--trials", "4", "--poly", "1"], ("les",), id="clt"),
+    pytest.param(["resolvent-cov", "--n", "8", "--trials", "4", "--contour", "2,0"],
+                 ("resolvent_trace",), id="resolvent-cov"),
+])
+def test_failed_trial_is_runtime_error_in_every_experiment(monkeypatch, capsys, argv, statistics):
+    """A failing solve or statistic fails its trial: exit 2, not a validation failure."""
+    for name in ("eigenvalues_centrosymmetric", "spectral_radius", *statistics):
+        def broken(*args):
+            raise ValueError(f"{name} broke")
 
-    monkeypatch.setattr(harness, "eigenvalues_centrosymmetric", broken_solver)
-    code, _, err = _run(argv, capsys)
-    assert code == 2
-    assert "trial 0 failed: trace contract violated" in err
-    assert multiprocessing.active_children() == []  # no worker outlives the command
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, name, broken)
+            code, _, err = _run(argv, capsys)
+        assert code == 2, name
+        assert f"trial 0 failed: {name} broke" in err
+        assert multiprocessing.active_children() == []  # no worker outlives the command
 
 
 @pytest.mark.skipif(not _openblas_thread_controls(), reason="no OpenBLAS thread-count entry point")

@@ -39,7 +39,7 @@ def test_companion_cube_roots_of_unity():
     c = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     roots = np.exp(2j * np.pi * np.arange(3) / 3)
     spec = eigenvalues_dense(c)
-    assert match_spectra(spec, Spectrum(eigenvalues=roots, source_dim=3)) <= 1e-10
+    assert match_spectra(spec, Spectrum(eigenvalues=roots)) <= 1e-10
 
 
 def test_trace_identities_hold():
@@ -98,15 +98,15 @@ def test_scaling_covariance():
     base = eigenvalues_dense(cm.matrix)
     for c in (2.0, 1.0j):
         scaled = eigenvalues_dense(c * cm.matrix)
-        expected = Spectrum(eigenvalues=c * base.eigenvalues, source_dim=10)
+        expected = Spectrum(eigenvalues=c * base.eigenvalues)
         assert match_spectra(scaled, expected) <= 1e-8
 
 
 def test_spectral_radius():
-    assert spectral_radius(Spectrum(eigenvalues=np.array([1.0, -1.0]), source_dim=2)) == 1.0
-    assert spectral_radius(Spectrum(eigenvalues=np.array([2.0j, 0.5]), source_dim=2)) == 2.0
+    assert spectral_radius(Spectrum(eigenvalues=np.array([1.0, -1.0]))) == 1.0
+    assert spectral_radius(Spectrum(eigenvalues=np.array([2.0j, 0.5]))) == 2.0
     with pytest.raises(ValueError):
-        spectral_radius(Spectrum(eigenvalues=np.empty(0, dtype=complex), source_dim=0))
+        spectral_radius(Spectrum(eigenvalues=np.empty(0, dtype=complex)))
 
 
 def test_spectral_radius_concentrates_at_one():
@@ -115,16 +115,16 @@ def test_spectral_radius_concentrates_at_one():
 
 
 def test_match_spectra_mismatched_sizes():
-    a = Spectrum(eigenvalues=np.array([1.0 + 0j]), source_dim=1)
-    b = Spectrum(eigenvalues=np.array([1.0, 2.0]), source_dim=2)
+    a = Spectrum(eigenvalues=np.array([1.0 + 0j]))
+    b = Spectrum(eigenvalues=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         match_spectra(a, b)
 
 
 def test_match_spectra_pairs_by_least_total_distance():
     # greedy nearest-neighbor pairs 0 with 0.3 and leaves 0.5 to -0.4 (0.9)
-    a = Spectrum(eigenvalues=np.array([0.0, 0.5]), source_dim=2)
-    b = Spectrum(eigenvalues=np.array([0.3, -0.4]), source_dim=2)
+    a = Spectrum(eigenvalues=np.array([0.0, 0.5]))
+    b = Spectrum(eigenvalues=np.array([0.3, -0.4]))
     assert match_spectra(a, b) == pytest.approx(0.4)
     assert match_spectra(b, a) == pytest.approx(0.4)
 
@@ -132,12 +132,12 @@ def test_match_spectra_pairs_by_least_total_distance():
 def test_spectrum_json_round_trip():
     spec = eigenvalues_dense(np.diag([1.0, -2.0j]))
     obj = json.loads(json.dumps(asdict(spec), default=complex_to_pairs))
-    assert obj["source_dim"] == 2
+    assert set(obj) == {"eigenvalues"} and spec.source_dim == 2
     assert np.array_equal(complex_from_pairs(obj["eigenvalues"]), spec.eigenvalues)
 
 
 def test_spectrum_equality_is_identity_and_never_raises():
-    a = Spectrum(eigenvalues=np.array([1.0, 2.0j]), source_dim=2)
-    b = Spectrum(eigenvalues=np.array([1.0, 2.0j]), source_dim=2)
+    a = Spectrum(eigenvalues=np.array([1.0, 2.0j]))
+    b = Spectrum(eigenvalues=np.array([1.0, 2.0j]))
     assert (a == b) is False
     assert (a == a) is True

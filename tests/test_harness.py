@@ -36,8 +36,7 @@ P_FIG = TestPolynomial(coeffs=(0.0, 0.0, 2.0, 1.0))  # 2x^3 + x^4
 
 
 def _spec(values):
-    values = np.asarray(values, dtype=complex)
-    return Spectrum(eigenvalues=values, source_dim=len(values))
+    return Spectrum(eigenvalues=values)
 
 
 def test_les_on_exchange_spectrum():
@@ -180,7 +179,7 @@ def test_guard_rejection_rate_is_tiny_at_default_rho():
 def test_thread_count_does_not_change_results():
     base = None
     for threads in (1, 2, 8):
-        config = RunConfig(n=48, trials=24, master_seed=9, poly=P_FIG, threads=threads)
+        config = RunConfig(n=64, trials=24, master_seed=9, poly=P_FIG, threads=threads)
         values = run_clt_experiment(config).les_values
         if base is None:
             base = values
@@ -190,27 +189,34 @@ def test_thread_count_does_not_change_results():
 
 def test_worker_count_is_capped_by_cpus_and_trials():
     cpus = os.cpu_count() or 1
-    assert _worker_count(1_000_000, 400, cpus) == min(cpus, 400)
-    assert _worker_count(None, 400, 8) == 8
-    assert _worker_count(None, 3, 64) == 3
-    assert _worker_count(2, 400, 64) == 2
-    assert _worker_count(1, 400, 64) == 1
+    assert _worker_count(1_000_000, 512, 400, cpus) == min(cpus, 400)
+    assert _worker_count(None, 512, 400, 8) == 8
+    assert _worker_count(None, 512, 3, 64) == 3
+    assert _worker_count(2, 512, 400, 64) == 2
+    assert _worker_count(1, 512, 400, 64) == 1
+    # one worker per 1.5e6 of n^3 * trials: tiny runs stay inline
+    assert _worker_count(None, 8, 4, 64) == 1
+    assert _worker_count(None, 32, 20, 64) == 1
+    assert _worker_count(None, 64, 20, 64) == 3
+    assert _worker_count(2, 64, 40, 2) == 2
+    assert _worker_count(None, 1, 10**9, 64) == 64
 
 
 def test_pooled_failure_names_the_first_failed_trial(monkeypatch):
-    solve = harness.eigenvalues_centrosymmetric
+    sample = harness.sample_centrosymmetric
 
-    def fails_at_trials_5_and_9(cm):
-        if cm.stream_index in (5, 9):
+    def fails_at_trials_5_and_9(n, stream):
+        if stream.stream_index in (5, 9):
             raise ValueError(f"broken in process {os.getpid()}")
-        return solve(cm)
+        return sample(n, stream)
 
-    monkeypatch.setattr(harness, "eigenvalues_centrosymmetric", fails_at_trials_5_and_9)
-    config = RunConfig(n=16, trials=12, master_seed=0, poly=P_LINEAR, threads=2)
+    monkeypatch.setattr(harness, "sample_centrosymmetric", fails_at_trials_5_and_9)
+    config = RunConfig(n=64, trials=24, master_seed=0, poly=P_LINEAR, threads=2)
     with pytest.raises(RuntimeError, match=r"^trial 5 failed: broken in process \d+$") as failed:
         run_clt_experiment(config)
     assert multiprocessing.active_children() == []
-    pooled = available_cpus() > 1 and bool(_openblas_thread_controls())
+    workers = _worker_count(config.threads, config.n, config.trials, available_cpus())
+    pooled = workers > 1 and bool(_openblas_thread_controls())
     assert (not failed.value.args[0].endswith(f" {os.getpid()}")) == pooled
 
 

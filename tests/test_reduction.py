@@ -89,14 +89,14 @@ def test_verify_reduction_flags_corruption():
     red = block_reduce(cm)
     t1 = red.t1.copy()
     t1[0, 0] += 1.0
-    corrupted = BlockReduction(t1=t1, t2=red.t2, parity=red.parity)
+    corrupted = BlockReduction(t1=t1, t2=red.t2)
     assert verify_reduction(cm, corrupted) >= 0.4
 
 
 def test_verify_reduction_shape_mismatch():
     cm = sample_centrosymmetric(6, stream=SeedStream(5, 2))
     red = block_reduce(cm)
-    bad = BlockReduction(t1=red.t1[:2, :2], t2=red.t2, parity=red.parity)
+    bad = BlockReduction(t1=red.t1[:2, :2], t2=red.t2)
     with pytest.raises(ValueError):
         verify_reduction(cm, bad)
 
@@ -141,6 +141,6 @@ def test_split_blocks_on_a_stack_equals_block_reduce_per_matrix():
         halves = _sample_batch(n, STANDARD_COMPLEX_GAUSSIAN, SeedStream(31, n), 3)
         t1, t2 = split_blocks(halves)
         for i, half in enumerate(halves):
-            red = block_reduce(CentrosymmetricMatrix(half, n, 31, n))
+            red = block_reduce(CentrosymmetricMatrix(half))
             assert np.array_equal(t1[i].view(np.int64), red.t1.view(np.int64))
             assert np.array_equal(t2[i].view(np.int64), red.t2.view(np.int64))

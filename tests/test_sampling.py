@@ -181,7 +181,7 @@ def test_constructor_rejects_asymmetric_matrix():
     assert cm.half.shape == (2, 3) and cm.n == 3
     for half in (np.zeros((1, 3)), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])):
         with pytest.raises(ValueError):  # wrong shape; a middle row that is not a palindrome
-            CentrosymmetricMatrix(half=half, n=3, seed=0, stream_index=0)
+            CentrosymmetricMatrix(half=half)
 
 
 def test_equality_is_identity_and_never_raises():
