@@ -127,7 +127,7 @@ def emit_plot_data(report: CircularLawReport | TrialBatch, path: str, bins: int 
         with open(path, "w") as fh:
             fh.write("re,im\n")
             for sample in report.samples:
-                for z in sample.spectrum.eigenvalues:
+                for z in sample.eigenvalues:
                     fh.write(_complex_key(z) + "\n")
         return
     values = report.les_values
@@ -206,10 +206,10 @@ def _cmd_reduce(args) -> int:
 def _cmd_spectrum(args) -> int:
     cm = _sampled(args)
     if args.method == "dense":
-        spec = eigenvalues_dense(cm.matrix)
+        lam = eigenvalues_dense(cm.matrix)
     else:
-        spec = eigenvalues_centrosymmetric(cm)
-    payload = {"source_dim": spec.source_dim, "eigenvalues": spec.eigenvalues}
+        lam = eigenvalues_centrosymmetric(cm)
+    payload = {"source_dim": len(lam), "eigenvalues": lam}
     _write_output(_encode(payload), args.out)
     return 0
 

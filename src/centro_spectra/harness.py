@@ -14,8 +14,8 @@ spectra:
 * resolvent-trace covariance: empirical Cov(Tr R_z, conj Tr R_eta) against
   the kernel 2 (1 - z conj(eta))^-2 for contour points outside the disc.
 
-A trial that fails (a draw, a solve that breaks the trace contract or
-returns a non-finite spectrum, or a statistic) raises ``RuntimeError``
+A trial that fails (a draw, a solve whose eigenvalues fail the finiteness
+and trace check, or a statistic) raises ``RuntimeError``
 naming the trial, which the CLI reports as exit code 2 in every
 experiment.  Trials whose spectral radius exceeds the norm guard ``rho``
 are rejected and counted, never silently dropped.
@@ -46,7 +46,7 @@ import numpy as np
 from scipy.special import chdtrc, ndtr
 
 from .eigen import eigenvalues_centrosymmetric, spectral_radius
-from .linalg import Spectrum, as_complex_matrix, available_cpus, single_blas_thread
+from .linalg import as_complex_matrix, available_cpus, single_blas_thread
 from .sampling import SeedStream, sample_centrosymmetric
 
 __all__ = [
@@ -118,18 +118,18 @@ def predicted_sigma2(poly: TestPolynomial) -> float:
     return float(sum(2.0 * k * (abs(a) * abs(a)) for k, a in enumerate(poly.coeffs, start=1)))
 
 
-def les(spec: Spectrum, poly: TestPolynomial) -> complex:
+def les(eigenvalues: np.ndarray, poly: TestPolynomial) -> complex:
     """Linear eigenvalue statistic L(P) = sum_i P(lambda_i)."""
-    return complex(poly.evaluate(spec.eigenvalues).sum())
+    return complex(poly.evaluate(eigenvalues).sum())
 
 
-def resolvent_trace(spec: Spectrum, z: complex) -> complex:
+def resolvent_trace(eigenvalues: np.ndarray, z: complex) -> complex:
     """Tr R_z = sum_i 1 / (z - lambda_i); requires z away from the spectrum."""
     z = complex(z)
-    gaps = np.abs(z - spec.eigenvalues)
-    if len(gaps) and gaps.min() <= 1e-9:
+    diff = z - eigenvalues
+    if len(diff) and np.abs(diff).min() <= 1e-9:
         raise ValueError(f"z={z} is within 1e-9 of an eigenvalue")
-    return complex((1.0 / (z - spec.eigenvalues)).sum())
+    return complex((1.0 / diff).sum())
 
 
 def covariance_kernel(z: complex, eta: complex) -> complex:
@@ -137,7 +137,7 @@ def covariance_kernel(z: complex, eta: complex) -> complex:
     return 2.0 / (1.0 - complex(z) * np.conj(complex(eta))) ** 2
 
 
-def resolvent_series_gap(matrix, spec: Spectrum, z: complex, terms: int = 8) -> float:
+def resolvent_series_gap(matrix, eigenvalues: np.ndarray, z: complex, terms: int = 8) -> float:
     """|Tr R_z - n/z - sum_{k<=terms} z^{-k-1} Tr M^k|.
 
     Internal consistency check between the eigenvalue route and the
@@ -152,7 +152,7 @@ def resolvent_series_gap(matrix, spec: Spectrum, z: complex, terms: int = 8) -> 
     for k in range(1, terms + 1):
         power = power @ m
         series += z ** (-k - 1) * np.trace(power)
-    return float(abs(resolvent_trace(spec, z) - series))
+    return float(abs(resolvent_trace(eigenvalues, z) - series))
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ class TrialBatch:
 @contextmanager
 def _solved_trial(config: RunConfig, t: int):
     """Draw trial t from ``SeedStream(config.master_seed, t)``, solve it on
-    its blocks and yield the spectrum; a failure in the solve or in the
+    its blocks and yield its eigenvalues; a failure in the solve or in the
     caller's block is re-raised as RuntimeError naming t.  The sampler, the
     solver and the statistics are looked up when the trial runs, so a
     wrapper installed on this module reaches pool workers forked after it."""
@@ -264,8 +264,8 @@ def _trial_record(config: RunConfig, t: int) -> TrialRecord:
     """Solve trial t, apply the norm guard and, on an accepted trial,
     evaluate L(P) when ``config.poly`` is set and Tr R_z at every contour
     point.  Only this record leaves a pool worker."""
-    with _solved_trial(config, t) as spec:
-        radius = spectral_radius(spec)
+    with _solved_trial(config, t) as lam:
+        radius = spectral_radius(lam)
         contour = config.contour_points
         accepted = radius <= config.rho
         if accepted and contour:
@@ -275,8 +275,8 @@ def _trial_record(config: RunConfig, t: int) -> TrialRecord:
             accepted = 1.2 * radius <= min_abs_z and min_abs_z - radius >= config.tau
         if not accepted:
             return TrialRecord(t, radius, False)
-        les_value = None if config.poly is None else les(spec, config.poly)
-        resolvent = {z: resolvent_trace(spec, z) for z in contour}
+        les_value = None if config.poly is None else les(lam, config.poly)
+        resolvent = {z: resolvent_trace(lam, z) for z in contour}
         return TrialRecord(t, radius, True, les_value, resolvent)
 
 
@@ -344,11 +344,15 @@ def _summarize(values: np.ndarray, poly: TestPolynomial) -> SummaryStats:
     variance_modulus = float((np.abs(centered) ** 2).sum() / (t - 1))
     variance_real = float(np.var(centered.real, ddof=1))
     real = centered.real
-    # skewness and excess kurtosis as scipy.stats computes them (NaN when flat)
-    d = real - real.mean()
+    # skewness and excess kurtosis as scipy.stats computes them (NaN when
+    # flat), on the real parts scaled by 2^-e so that fourth powers stay
+    # finite and nonzero; e is the largest exponent rounded to a multiple of
+    # 128, so ordinary data gets e = 0 and keeps every bit
+    x = np.ldexp(real, -128 * round(np.frexp(np.abs(real).max())[1] / 128))
+    d = x - x.mean()
     d2 = d**2
     m2 = d2.mean()
-    flat = m2 <= (np.finfo(np.float64).eps * real.mean()) ** 2
+    flat = m2 <= (np.finfo(np.float64).eps * x.mean()) ** 2
     scale = np.sqrt(pred / 2.0)
     return SummaryStats(
         mean=complex(mean),
@@ -395,10 +399,12 @@ def angular_chisquare(angles: np.ndarray) -> tuple[float, float]:
     return stat, float(chdtrc(15, stat))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircularLawSample:
+    """``==`` is identity, so no comparison ever reaches the array."""
+
     stream_index: int
-    spectrum: Spectrum
+    eigenvalues: np.ndarray
     radial_ks: float
     angular_chi2: float
     angular_pvalue: float
@@ -421,18 +427,17 @@ def run_circular_law_experiment(config: RunConfig) -> CircularLawReport:
         raise ValueError("circular-law experiment needs n >= 200")
     samples = []
     for t in range(config.trials):
-        with _solved_trial(config, t) as spec:
-            lam = spec.eigenvalues
+        with _solved_trial(config, t) as lam:
             stat, pvalue = angular_chisquare(np.angle(lam))
             samples.append(
                 CircularLawSample(
                     stream_index=t,
-                    spectrum=spec,
+                    eigenvalues=lam,
                     radial_ks=radial_ks_statistic(np.abs(lam)),
                     angular_chi2=stat,
                     angular_pvalue=pvalue,
                     outlier_fraction=float((np.abs(lam) > 1.05).mean()),
-                    spectral_radius=spectral_radius(spec),
+                    spectral_radius=spectral_radius(lam),
                 )
             )
     return CircularLawReport(samples=tuple(samples))

@@ -2,7 +2,7 @@
 
 Matrices are plain numpy arrays of complex128, treated as immutable values:
 every function returns fresh arrays and never mutates its inputs.
-``Spectrum`` holds eigenvalues alone (its ``source_dim`` is their count).
+Eigenvalues travel as plain 1-D complex128 arrays; no type wraps them.
 ``single_blas_thread`` runs a block with OpenBLAS on one thread, and
 ``available_cpus`` is the CPU count that sizes every worker pool.
 """
@@ -12,13 +12,11 @@ from __future__ import annotations
 import ctypes
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "PowerIterationError",
-    "Spectrum",
     "as_complex_matrix",
     "available_cpus",
     "complex_from_pairs",
@@ -178,22 +176,3 @@ def single_blas_thread():
         for set_threads, count in pinned:
             set_threads(count)
 
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Multiset of eigenvalues of one matrix (order carries no meaning).
-
-    ``==`` is identity: compare spectra with ``match_spectra``.
-    """
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.eigenvalues, dtype=np.complex128).ravel()
-        object.__setattr__(self, "eigenvalues", values)
-        if not (np.all(np.isfinite(values.real)) and np.all(np.isfinite(values.imag))):
-            raise ValueError("spectrum has non-finite eigenvalues")
-
-    @property
-    def source_dim(self) -> int:
-        return len(self.eigenvalues)

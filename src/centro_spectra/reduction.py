@@ -19,8 +19,9 @@ frequently quoted variant [[I, -J], [J, I]] is orthogonal too but produces
 J (A - JC) J in the lower block (same spectrum, different entries).
 
 Q itself is built for verification only: block_reduce reads the blocks
-straight off the half, and verify_reduction unfolds M, checks that it is
-exactly centrosymmetric and forms Q^T M Q as the independent check.
+straight off the half for any n >= 1 (at n = 1, T1 is the center entry and
+T2 is 0 by 0), and verify_reduction unfolds M, checks that it is exactly
+centrosymmetric and forms Q^T M Q as the independent check, for n >= 2.
 BlockReduction holds T1 and T2 alone; n and its parity come from their sizes.
 """
 
@@ -108,10 +109,9 @@ def block_reduce(cm: CentrosymmetricMatrix) -> BlockReduction:
 
     The blocks are read straight off the stored top half by split_blocks in
     O(n^2), without unfolding M or building Q; forming Q^T M Q explicitly is
-    left to verify_reduction as the independent check.
+    left to verify_reduction as the independent check.  Any n >= 1 works:
+    at n = 1, T1 is the center entry and T2 is 0 by 0.
     """
-    if cm.n < 2:
-        raise ValueError("block reduction needs n >= 2")
     t1, t2 = split_blocks(cm.half)
     return BlockReduction(t1=t1, t2=t2)
 

@@ -122,6 +122,21 @@ def test_clt_summary_and_jsonl(tmp_path, capsys):
     assert set(record) == {"trial_index", "seed", "les", "spectral_radius", "resolvent"}
 
 
+def test_clt_shape_statistics_do_not_depend_on_the_scale_of_p(capsys):
+    """Skewness and kurtosis are scale-free: P = c z gives P = z's values
+    whether the powers of c z's values would overflow or underflow."""
+    def shape(poly):
+        code, out, _ = _run(["clt", "--n", "16", "--trials", "5", "--seed", "1",
+                             "--poly", poly], capsys)
+        assert code == 0
+        s = json.loads(out)["summaries"]
+        return np.array([s["skewness"], s["excess_kurtosis"]])
+
+    reference = shape("1")
+    for poly in ("1e100", "1e150", "1e-160"):
+        assert np.allclose(shape(poly), reference, rtol=1e-12, atol=0.0), poly
+
+
 def test_clt_csv_format(tmp_path, capsys):
     path = tmp_path / "hist.csv"
     code, _, _ = _run(

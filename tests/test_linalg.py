@@ -6,7 +6,6 @@ import pytest
 
 from centro_spectra.linalg import (
     PowerIterationError,
-    Spectrum,
     _openblas_thread_controls,
     as_complex_matrix,
     complex_from_pairs,
@@ -72,13 +71,6 @@ def test_operator_norm_nonconvergence_reports_last_estimate():
         # cap of one iteration cannot satisfy the convergence check
         operator_norm_estimate(m, tol=0.0, max_iterations=1)
     assert err.value.last_estimate > 0.0
-
-
-def test_spectrum_validation():
-    spec = Spectrum(eigenvalues=np.array([1.0, -1.0j]))
-    assert spec.source_dim == 2
-    with pytest.raises(ValueError):
-        Spectrum(eigenvalues=np.array([np.nan + 0j]))
 
 
 def _bits(values):
