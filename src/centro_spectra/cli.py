@@ -32,7 +32,7 @@ from .harness import (
     run_clt_experiment,
     run_covariance_kernel_experiment,
 )
-from .linalg import complex_to_pairs, counter_identity
+from .linalg import available_cpus, complex_to_pairs, counter_identity, single_blas_thread
 from .moments import MomentQuery, moment_result
 from .reduction import block_reduce, verify_reduction
 from .sampling import (
@@ -204,11 +204,11 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    cm = _sampled(args)
     if args.method == "dense":
-        lam = eigenvalues_dense(cm.matrix)
+        lam = eigenvalues_dense(_sampled(args).matrix)
     else:
-        lam = eigenvalues_centrosymmetric(cm)
+        with single_blas_thread():
+            lam = eigenvalues_centrosymmetric(_sampled(args), min(2, available_cpus()))
     payload = {"source_dim": len(lam), "eigenvalues": lam}
     _write_output(_encode(payload), args.out)
     return 0
@@ -361,7 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalues of one sampled matrix")
     _add_common(p)
     p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--method", choices=("blocks", "dense"), default="blocks")
+    p.add_argument("--method", choices=("blocks", "dense"), default="blocks",
+                   help="blocks: T1 and T2 solved at once, each on one BLAS thread, so the "
+                        "output is the same for any BLAS thread count; dense: the full "
+                        "matrix on BLAS's own threads, the independent check")
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("circular-law", help="ESD checks against the disc law")

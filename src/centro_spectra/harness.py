@@ -25,14 +25,22 @@ guards and evaluates trial t where it is drawn, so a trial yields only its
 radius, L(P) and Tr R_z.  The records come from a pool of forked worker
 processes, at most ``RunConfig.threads`` of them (all CPUs when unset)
 and never more than the CPUs, the trials or one per ``_WORK_PER_WORKER``
-of n^3 * trials; with one worker they run inline.  Threads could not
-share the work, because the eigensolve holds the GIL.  The whole engine
-runs with OpenBLAS on one thread, which the workers inherit, and records
-are consumed in index order, so they are the same to the bit for every
-``threads`` value and every BLAS thread setting.  Trials run inline where
-no OpenBLAS entry point is found (with BLAS as configured), ``fork`` is
-unavailable or the process runs other threads.  The circular law (one or
-a few large samples) runs inline with BLAS's own threads.
+of n^3 * trials; with one worker they run inline.  zgeev releases the
+GIL, but at 256-blocks two threads showed no clear gain over one (16
+solves on one BLAS thread: 2.97 and 3.40 s on two threads against 2.73
+and 3.27 s on one, 2 vCPUs), so the engine keeps its processes.  The
+whole engine runs with OpenBLAS on one thread, which the workers inherit,
+and records are consumed in index order, so they are the same to the bit
+for every ``threads`` value and every BLAS thread setting.  Trials run
+inline where no OpenBLAS entry point is found (with BLAS as configured),
+``fork`` is unavailable or the process runs other threads.
+
+The circular law (one or a few large samples) also runs with OpenBLAS on
+one thread and supplies its own parallelism: each sample's T1 is solved on
+the calling thread while one helper thread solves T2, on up to two CPUs
+(see ``eigenvalues_centrosymmetric``).  Its output is the same to the bit
+for every BLAS thread setting, and no thread outlives the run, so a later
+engine in the same process can still fork its pool.
 """
 
 from __future__ import annotations
@@ -246,15 +254,18 @@ class TrialBatch:
 
 
 @contextmanager
-def _solved_trial(config: RunConfig, t: int):
+def _solved_trial(config: RunConfig, t: int, workers: int = 1):
     """Draw trial t from ``SeedStream(config.master_seed, t)``, solve it on
-    its blocks and yield its eigenvalues; a failure in the solve or in the
-    caller's block is re-raised as RuntimeError naming t.  The sampler, the
-    solver and the statistics are looked up when the trial runs, so a
-    wrapper installed on this module reaches pool workers forked after it."""
+    its blocks (with ``workers`` threads, see ``eigenvalues_centrosymmetric``)
+    and yield its eigenvalues; a failure in the solve or in the caller's
+    block is re-raised as RuntimeError naming t.  The draw is passed
+    straight to the solver, which frees it before the blocks are solved.
+    The sampler, the solver and the statistics are looked up when the trial
+    runs, so a wrapper installed on this module reaches pool workers forked
+    after it."""
     try:
         yield eigenvalues_centrosymmetric(
-            sample_centrosymmetric(config.n, SeedStream(config.master_seed, t))
+            sample_centrosymmetric(config.n, SeedStream(config.master_seed, t)), workers
         )
     except Exception as exc:
         raise RuntimeError(f"trial {t} failed: {exc}") from exc
@@ -426,20 +437,22 @@ def run_circular_law_experiment(config: RunConfig) -> CircularLawReport:
     if config.n < 200:
         raise ValueError("circular-law experiment needs n >= 200")
     samples = []
-    for t in range(config.trials):
-        with _solved_trial(config, t) as lam:
-            stat, pvalue = angular_chisquare(np.angle(lam))
-            samples.append(
-                CircularLawSample(
-                    stream_index=t,
-                    eigenvalues=lam,
-                    radial_ks=radial_ks_statistic(np.abs(lam)),
-                    angular_chi2=stat,
-                    angular_pvalue=pvalue,
-                    outlier_fraction=float((np.abs(lam) > 1.05).mean()),
-                    spectral_radius=spectral_radius(lam),
+    workers = min(2, available_cpus())
+    with single_blas_thread():
+        for t in range(config.trials):
+            with _solved_trial(config, t, workers) as lam:
+                stat, pvalue = angular_chisquare(np.angle(lam))
+                samples.append(
+                    CircularLawSample(
+                        stream_index=t,
+                        eigenvalues=lam,
+                        radial_ks=radial_ks_statistic(np.abs(lam)),
+                        angular_chi2=stat,
+                        angular_pvalue=pvalue,
+                        outlier_fraction=float((np.abs(lam) > 1.05).mean()),
+                        spectral_radius=spectral_radius(lam),
+                    )
                 )
-            )
     return CircularLawReport(samples=tuple(samples))
 
 

@@ -4,7 +4,8 @@ Matrices are plain numpy arrays of complex128, treated as immutable values:
 every function returns fresh arrays and never mutates its inputs.
 Eigenvalues travel as plain 1-D complex128 arrays; no type wraps them.
 ``single_blas_thread`` runs a block with OpenBLAS on one thread, and
-``available_cpus`` is the CPU count that sizes every worker pool.
+``available_cpus`` is the CPU count that sizes every worker pool and
+the circular law's helper thread.
 """
 
 from __future__ import annotations

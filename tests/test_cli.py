@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centro_spectra import harness
+from centro_spectra import eigen, harness
 from centro_spectra.cli import (
     config_to_json_dict,
     emit_plot_data,
     parse_and_dispatch,
 )
 from centro_spectra.harness import RunConfig, TestPolynomial, run_clt_experiment
-from centro_spectra.linalg import _openblas_thread_controls, complex_from_pairs, complex_to_pairs
+from centro_spectra.linalg import (
+    _openblas_thread_controls,
+    available_cpus,
+    complex_from_pairs,
+    complex_to_pairs,
+)
 
 
 def _run(argv, capsys):
@@ -187,6 +193,26 @@ def test_failed_trial_is_runtime_error_in_every_experiment(monkeypatch, capsys, 
         assert code == 2, name
         assert f"trial 0 failed: {name} broke" in err
         assert multiprocessing.active_children() == []  # no worker outlives the command
+
+
+@pytest.mark.skipif(available_cpus() < 2, reason="one CPU: no helper thread")
+def test_failed_solve_on_the_helper_thread_fails_its_trial(monkeypatch, capsys):
+    solve = eigen.eigenvalues_dense
+    helper_solves = []
+
+    def fails_off_the_main_thread(m):
+        if threading.current_thread() is threading.main_thread():
+            return solve(m)
+        helper_solves.append(len(m))
+        raise ValueError("T2 broke")
+
+    monkeypatch.setattr(eigen, "eigenvalues_dense", fails_off_the_main_thread)
+    with pytest.raises(RuntimeError, match=r"^trial 0 failed: T2 broke$"):
+        harness.run_circular_law_experiment(RunConfig(n=201, trials=1, master_seed=5))
+    code, _, err = _run(["circular-law", "--n", "201", "--seed", "5", "--trials", "2"], capsys)
+    assert code == 2
+    assert "trial 0 failed: T2 broke" in err
+    assert helper_solves == [100, 100]  # T2 of n = 201, once per run
 
 
 @pytest.mark.skipif(not _openblas_thread_controls(), reason="no OpenBLAS thread-count entry point")

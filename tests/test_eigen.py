@@ -10,7 +10,7 @@ from centro_spectra.eigen import (
     match_spectra,
     spectral_radius,
 )
-from centro_spectra.linalg import operator_norm_estimate
+from centro_spectra.linalg import operator_norm_estimate, single_blas_thread
 from centro_spectra.sampling import CentrosymmetricMatrix, SeedStream, sample_centrosymmetric
 
 
@@ -91,6 +91,16 @@ def test_block_path_matches_dense_path(n, seed, stream):
     cm = sample_centrosymmetric(n, stream=SeedStream(seed, stream))
     tol = 1e-8 * n * (1.0 + operator_norm_estimate(cm.matrix, tol=1e-3))
     assert match_spectra(eigenvalues_centrosymmetric(cm), eigenvalues_dense(cm.matrix)) <= tol
+
+
+def test_helper_thread_gives_the_serial_bits():
+    """T2 solved on a helper thread: the bits of the serial solve, for both
+    parities (at n = 1, T2 is empty)."""
+    with single_blas_thread():
+        for n in range(1, 41):
+            cm = sample_centrosymmetric(n, stream=SeedStream(23, n))
+            serial = eigenvalues_centrosymmetric(cm)
+            assert eigenvalues_centrosymmetric(cm, 2).tobytes() == serial.tobytes(), n
 
 
 def test_block_path_16x16_tight():

@@ -2,9 +2,11 @@
 
 The commands run in one child process with BLAS pinned to one thread,
 because OpenBLAS's blocking (and so the last bits of an eigensolve) depends
-on its thread count.  The SHA-256 table below was recorded with the numpy
-and BLAS builds named next to it; on any other build the last bits may
-differ, so the test skips there instead of failing.
+on its thread count.  Every command but ``spectrum --method dense`` pins
+OpenBLAS to one thread itself, so it must write the same files with BLAS on
+two threads.  The SHA-256 table below was recorded with the numpy and BLAS
+builds named next to it; on any other build the last bits may differ, so
+the tests skip there instead of failing.
 
 The output files are the program's behaviour: a refactor leaves every hash
 unchanged, and only a deliberate change of an output re-records the table.
@@ -92,25 +94,38 @@ def _blas() -> str:
     return f"{blas.get('name')} {blas.get('version')}"
 
 
-def run_golden_commands(workdir: Path) -> dict:
-    """Run COMMANDS in one child process; SHA-256 of every file written."""
-    commands = [[*argv[:-1], str(workdir / argv[-1])] for argv in COMMANDS]  # --out last
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+def run_golden_commands(workdir: Path, commands=COMMANDS, blas_threads="1") -> dict:
+    """Run the commands in one child process with BLAS on ``blas_threads``
+    threads; SHA-256 of every file written."""
+    commands = [[*argv[:-1], str(workdir / argv[-1])] for argv in commands]  # --out last
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", _RUNNER, json.dumps(commands)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert json.loads(done.stdout) == [0] * len(COMMANDS), done.stderr
+    assert json.loads(done.stdout) == [0] * len(commands), done.stderr
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(workdir.iterdir())
     }
 
 
-def test_golden_outputs_are_byte_identical(tmp_path):
+def _skip_unless_recorded_build():
     if (np.__version__, _blas()) != (RECORDED_NUMPY, RECORDED_BLAS):
         pytest.skip(
             f"golden hashes were recorded with numpy {RECORDED_NUMPY} and {RECORDED_BLAS}, "
             f"this is numpy {np.__version__} with {_blas()}"
         )
+
+
+def test_golden_outputs_are_byte_identical(tmp_path):
+    _skip_unless_recorded_build()
     assert run_golden_commands(tmp_path) == GOLDEN
+
+
+def test_golden_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """Only the dense spectrum runs on BLAS's own threads, as the independent check."""
+    _skip_unless_recorded_build()
+    commands = [argv for argv in COMMANDS if argv[-1] != "spectrum_dense.json"]
+    expected = {name: h for name, h in GOLDEN.items() if name != "spectrum_dense.json"}
+    assert run_golden_commands(tmp_path, commands, blas_threads="2") == expected

@@ -2,7 +2,10 @@ import contextlib
 import io
 import multiprocessing
 import os
+import sys
+import threading
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from centro_spectra import harness
+from centro_spectra import eigen, harness
 from centro_spectra.eigen import eigenvalues_dense
 from centro_spectra.harness import (
     _summarize,
@@ -294,6 +297,46 @@ def test_circular_law_small_scale():
     assert sample.radial_ks <= 0.15
     assert sample.outlier_fraction <= 0.05
     assert 0.0 <= sample.angular_pvalue <= 1.0
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 holds a call's arguments on the caller's stack")
+def test_circular_law_frees_the_sampled_half_before_the_solves(monkeypatch):
+    """Its peak memory rests on this: at n = 2000 the half is 32 MB."""
+    halves, alive = [], []
+    sample, solve = harness.sample_centrosymmetric, eigen.eigenvalues_dense
+
+    def sample_spy(n, stream):
+        cm = sample(n, stream)
+        halves.append(weakref.ref(cm.half))
+        return cm
+
+    def solve_spy(m):
+        alive.append(any(half() is not None for half in halves))
+        return solve(m)
+
+    monkeypatch.setattr(harness, "sample_centrosymmetric", sample_spy)
+    monkeypatch.setattr(eigen, "eigenvalues_dense", solve_spy)
+    run_circular_law_experiment(RunConfig(n=201, trials=2, master_seed=7))
+    assert len(halves) == 2 and alive == [False] * 4
+
+
+@pytest.mark.skipif(available_cpus() < 2 or not _openblas_thread_controls(),
+                    reason="the clt run needs two CPUs and OpenBLAS to fork a pool")
+def test_circular_law_leaves_no_thread_so_clt_still_forks(monkeypatch):
+    before = threading.active_count()
+    run_circular_law_experiment(RunConfig(n=200, trials=2, master_seed=6))
+    assert threading.active_count() == before
+    pools = []
+    fork_pool = harness._fork_pool
+
+    def pool_spy(workers):
+        pools.append(fork_pool(workers))
+        return pools[-1]
+
+    monkeypatch.setattr(harness, "_fork_pool", pool_spy)
+    run_clt_experiment(RunConfig(n=64, trials=20, master_seed=6, poly=P_LINEAR, threads=2))
+    assert len(pools) == 1 and pools[0] is not None
 
 
 def test_covariance_experiment_structure():
