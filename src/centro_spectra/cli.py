@@ -8,7 +8,7 @@ Commands are deterministic given their flags: every randomized command takes
 trials (default: one per CPU) and is recorded in the config JSON; the
 outputs are the same bytes whatever its value.  Exit codes: 0 success,
 1 validation failure (bad flags or values, found before any trial runs),
-2 runtime error (including a failed trial).
+2 runtime error (including a failed trial or solve).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .harness import (
     run_clt_experiment,
     run_covariance_kernel_experiment,
 )
-from .linalg import available_cpus, complex_to_pairs, counter_identity, single_blas_thread
+from .linalg import complex_to_pairs, counter_identity
 from .moments import MomentQuery, moment_result
 from .reduction import block_reduce, verify_reduction
 from .sampling import (
@@ -207,8 +207,7 @@ def _cmd_spectrum(args) -> int:
     if args.method == "dense":
         lam = eigenvalues_dense(_sampled(args).matrix)
     else:
-        with single_blas_thread():
-            lam = eigenvalues_centrosymmetric(_sampled(args), min(2, available_cpus()))
+        lam = eigenvalues_centrosymmetric(_sampled(args))
     payload = {"source_dim": len(lam), "eigenvalues": lam}
     _write_output(_encode(payload), args.out)
     return 0
@@ -362,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--stream", type=int, default=0)
     p.add_argument("--method", choices=("blocks", "dense"), default="blocks",
-                   help="blocks: T1 and T2 solved at once, each on one BLAS thread, so the "
-                        "output is the same for any BLAS thread count; dense: the full "
-                        "matrix on BLAS's own threads, the independent check")
+                   help="blocks: T1 and T2 on one BLAS thread each (at once from "
+                        "512-blocks on), so the output is the same for any BLAS thread count; "
+                        "dense: the full matrix on BLAS's own threads, the independent check")
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("circular-law", help="ESD checks against the disc law")

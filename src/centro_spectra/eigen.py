@@ -10,12 +10,12 @@ first and solves the two half-size blocks, for every n >= 1 (at n = 1, T1
 is the centre entry and T2 is empty); it measured 1.8-2.7x cheaper than
 the dense path and must agree with it as a multiset.
 
-zgeev releases the GIL, so the two blocks can be solved at once: at
-1000-blocks (n = 2000) two threads on one BLAS thread each took 2.1-2.9 s,
-against 3.7-5.6 s for the two solves one after the other, with
-bit-identical eigenvalues (5 fresh processes each, 2 vCPUs).  The
-circular law and ``spectrum --method blocks`` solve this way; the trial
-engine's workers solve serially.
+``eigenvalues_centrosymmetric`` owns the whole solve policy: it pins
+OpenBLAS to one thread, so its bits do not depend on the BLAS thread
+setting, and from 512-blocks on one helper thread solves T2 while the
+caller solves T1 (zgeev releases the GIL), with the same bits.  s-blocks
+on one BLAS thread each, serial against threaded (2 vCPUs): 32 of 256 took
+2.66-2.93 s against 3.03-3.44 s, 4 of 512 2.31-3.29 s against 1.28-1.70 s.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .linalg import as_complex_matrix
+from .linalg import as_complex_matrix, available_cpus, single_blas_thread
 from .reduction import block_reduce
 from .sampling import CentrosymmetricMatrix
 
@@ -37,17 +37,18 @@ __all__ = [
 ]
 
 _TOL = 1e-8  # relative tolerance of the trace identities
+_HELPER_MIN_SIDE = 512  # T2's side from which a helper thread solves it
 
 
 class EigenSolverError(RuntimeError):
-    """QR iteration failed to converge (no partial state is recoverable)."""
+    """The solve failed: QR did not converge or the eigenvalue check failed."""
 
 
 def eigenvalues_dense(m) -> np.ndarray:
     """All eigenvalues of a dense complex matrix, as a 1-D complex128 array.
 
-    Raises EigenSolverError on QR non-convergence and ValueError unless
-    every eigenvalue is finite and the trace identities
+    Raises EigenSolverError on QR non-convergence and unless every
+    eigenvalue is finite and the trace identities
 
         |sum(lam) - Tr M|     <= 1e-8 * n * ||M||_F
         |sum(lam^2) - Tr M^2| <= 1e-8 * n * ||M||_F^2
@@ -70,30 +71,32 @@ def eigenvalues_dense(m) -> np.ndarray:
     # a matrix whose norm overflows, which would pass inf <= inf
     bound = _TOL * n * scale
     if not (np.isfinite(lam).all() and trace_err <= bound and trace2_err <= bound * scale):
-        raise ValueError(
+        raise EigenSolverError(
             f"eigenvalue check failed: |dTr|={trace_err:.3e}, "
             f"|dTr2|={trace2_err:.3e} at tol={_TOL}"
         )
     return lam
 
 
-def eigenvalues_centrosymmetric(cm: CentrosymmetricMatrix, workers: int = 1) -> np.ndarray:
+def eigenvalues_centrosymmetric(cm: CentrosymmetricMatrix) -> np.ndarray:
     """Eigenvalues of M as the union of the spectra of T1 and T2 (any n >= 1).
 
-    With ``workers`` >= 2, one short-lived helper thread solves T2 while the
-    calling thread solves T1; it is joined before this returns, and a failure
-    of either solve is raised here.  The half of ``cm`` is dropped before
-    the solves, so a caller that keeps no reference to ``cm`` frees it first
-    (CPython 3.10 still holds a call's arguments on the caller's stack).
+    OpenBLAS runs on one thread, and on two CPUs a helper thread solves T2
+    once its side reaches ``_HELPER_MIN_SIDE``; the helper is joined before
+    this returns, and a failure of either solve is raised here.  The half
+    of ``cm`` is dropped before the solves, so a caller that keeps no
+    reference to ``cm`` frees it first (CPython 3.10 still holds a call's
+    arguments on the caller's stack).
     """
-    red = block_reduce(cm)
-    del cm
-    if workers < 2:
-        return np.concatenate([eigenvalues_dense(red.t1), eigenvalues_dense(red.t2)])
-    with ThreadPoolExecutor(1) as helper:
-        lam2 = helper.submit(eigenvalues_dense, red.t2)
-        lam1 = eigenvalues_dense(red.t1)
-    return np.concatenate([lam1, lam2.result()])
+    with single_blas_thread():
+        red = block_reduce(cm)
+        del cm
+        if red.t2.shape[0] < _HELPER_MIN_SIDE or available_cpus() < 2:
+            return np.concatenate([eigenvalues_dense(red.t1), eigenvalues_dense(red.t2)])
+        with ThreadPoolExecutor(1) as helper:
+            lam2 = helper.submit(eigenvalues_dense, red.t2)
+            lam1 = eigenvalues_dense(red.t1)
+        return np.concatenate([lam1, lam2.result()])
 
 
 def spectral_radius(eigenvalues: np.ndarray) -> float:

@@ -1,9 +1,9 @@
 """Monte Carlo experiments on the centrosymmetric ensemble.
 
-Three experiments share one trial solver, ``_solved_trial``: trial t is
-drawn from seed substream t, ``SeedStream(master_seed, t)``, and solved on
-its two blocks, and each experiment computes its statistics from the
-spectra:
+Three experiments run on one trial engine, ``_run_trials``, and one trial
+solver, ``_solved_trial``: trial t is drawn from seed substream t,
+``SeedStream(master_seed, t)``, and solved on its two blocks, and each
+experiment computes its statistics from the spectra:
 
 * circular law: eigenvalue cloud of one (or a few) large samples against
   the uniform law on the unit disc (radial KS, angular chi-square, outlier
@@ -20,27 +20,20 @@ naming the trial, which the CLI reports as exit code 2 in every
 experiment.  Trials whose spectral radius exceeds the norm guard ``rho``
 are rejected and counted, never silently dropped.
 
-In the CLT and resolvent-covariance experiments, ``_trial_record`` solves,
-guards and evaluates trial t where it is drawn, so a trial yields only its
-radius, L(P) and Tr R_z.  The records come from a pool of forked worker
-processes, at most ``RunConfig.threads`` of them (all CPUs when unset)
-and never more than the CPUs, the trials or one per ``_WORK_PER_WORKER``
-of n^3 * trials; with one worker they run inline.  zgeev releases the
-GIL, but at 256-blocks two threads showed no clear gain over one (16
-solves on one BLAS thread: 2.97 and 3.40 s on two threads against 2.73
-and 3.27 s on one, 2 vCPUs), so the engine keeps its processes.  The
-whole engine runs with OpenBLAS on one thread, which the workers inherit,
-and records are consumed in index order, so they are the same to the bit
-for every ``threads`` value and every BLAS thread setting.  Trials run
-inline where no OpenBLAS entry point is found (with BLAS as configured),
-``fork`` is unavailable or the process runs other threads.
-
-The circular law (one or a few large samples) also runs with OpenBLAS on
-one thread and supplies its own parallelism: each sample's T1 is solved on
-the calling thread while one helper thread solves T2, on up to two CPUs
-(see ``eigenvalues_centrosymmetric``).  Its output is the same to the bit
-for every BLAS thread setting, and no thread outlives the run, so a later
-engine in the same process can still fork its pool.
+Each experiment has one per-trial function that solves trial t where it
+is drawn and returns only its record: ``_trial_record`` (radius, L(P),
+Tr R_z) or ``_circular_law_sample``.  ``_run_trials`` maps it over a pool
+of forked worker processes, at most ``RunConfig.threads`` of them (all
+CPUs when unset) and never more than the CPUs, the trials or one per
+``_WORK_PER_WORKER`` of n^3 * trials; with one worker (as for the circular
+law's default single sample) trials run inline.  Threads would not do: 16
+trials at n = 512 took 3.12 s serial, 3.43 s on two threads and 1.61 s on
+the pool (2 vCPUs).  The engine runs with OpenBLAS on one thread, which
+the workers inherit, and records are consumed in index order, so they are
+the same to the bit for every ``threads`` value and every BLAS thread
+setting.  Trials run inline where no OpenBLAS entry point is found (with
+BLAS as configured), ``fork`` is unavailable or the process runs other
+threads.
 """
 
 from __future__ import annotations
@@ -167,9 +160,9 @@ def resolvent_series_gap(matrix, eigenvalues: np.ndarray, z: complex, terms: int
 class RunConfig:
     """One experiment configuration; everything needed for reproduction.
 
-    ``threads`` (None or an int >= 1) caps the worker processes of the CLT
-    and resolvent-covariance engines (None: one per CPU); it is recorded
-    with the configuration and changes no result.
+    ``threads`` (None or an int >= 1) caps the trial engine's worker
+    processes (None: one per CPU); it is recorded with the configuration
+    and changes no result.
     """
 
     n: int
@@ -254,18 +247,17 @@ class TrialBatch:
 
 
 @contextmanager
-def _solved_trial(config: RunConfig, t: int, workers: int = 1):
+def _solved_trial(config: RunConfig, t: int):
     """Draw trial t from ``SeedStream(config.master_seed, t)``, solve it on
-    its blocks (with ``workers`` threads, see ``eigenvalues_centrosymmetric``)
-    and yield its eigenvalues; a failure in the solve or in the caller's
-    block is re-raised as RuntimeError naming t.  The draw is passed
+    its blocks and yield its eigenvalues; a failure in the solve or in the
+    caller's block is re-raised as RuntimeError naming t.  The draw is passed
     straight to the solver, which frees it before the blocks are solved.
     The sampler, the solver and the statistics are looked up when the trial
     runs, so a wrapper installed on this module reaches pool workers forked
     after it."""
     try:
         yield eigenvalues_centrosymmetric(
-            sample_centrosymmetric(config.n, SeedStream(config.master_seed, t)), workers
+            sample_centrosymmetric(config.n, SeedStream(config.master_seed, t))
         )
     except Exception as exc:
         raise RuntimeError(f"trial {t} failed: {exc}") from exc
@@ -320,22 +312,21 @@ def _fork_pool(workers: int):
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
-def _run_trials(config: RunConfig) -> TrialBatch:
-    """The records of trials 0, 1, ... in index order, built on a worker
+def _run_trials(config: RunConfig, trial) -> tuple:
+    """``trial(config, t)`` for t = 0, 1, ... in index order, on a worker
     pool when more than one worker is allowed, with OpenBLAS on one thread
     throughout (see the module notes)."""
-    record = partial(_trial_record, config)
+    record = partial(trial, config)
     workers = _worker_count(config.threads, config.n, config.trials, available_cpus())
     with single_blas_thread() as pinned:
         pool = _fork_pool(workers) if workers > 1 and pinned else None
         if pool is None:
-            return TrialBatch(config=config, records=tuple(map(record, range(config.trials))))
+            return tuple(map(record, range(config.trials)))
         try:
             chunksize = max(1, config.trials // (4 * workers))
-            records = tuple(pool.map(record, range(config.trials), chunksize=chunksize))
+            return tuple(pool.map(record, range(config.trials), chunksize=chunksize))
         finally:  # after a failed trial, start no pending chunk
             pool.shutdown(cancel_futures=True)
-    return TrialBatch(config=config, records=records)
 
 
 def _ks_distance(sample, cdf) -> float:
@@ -387,7 +378,7 @@ def run_clt_experiment(config: RunConfig) -> TrialBatch:
         raise ValueError("run_clt_experiment needs config.poly")
     if config.trials < 2:
         raise ValueError("need at least 2 trials to estimate a variance")
-    batch = _run_trials(config)
+    batch = TrialBatch(config=config, records=_run_trials(config, _trial_record))
     values = batch.les_values
     if len(values) == 0:
         raise RuntimeError("all trials rejected by the norm guard")
@@ -428,6 +419,22 @@ class CircularLawReport:
     samples: tuple
 
 
+def _circular_law_sample(config: RunConfig, t: int) -> CircularLawSample:
+    """Solve sample t and test its eigenvalue cloud against the disc law."""
+    with _solved_trial(config, t) as lam:
+        radii = np.abs(lam)
+        stat, pvalue = angular_chisquare(np.angle(lam))
+        return CircularLawSample(
+            stream_index=t,
+            eigenvalues=lam,
+            radial_ks=radial_ks_statistic(radii),
+            angular_chi2=stat,
+            angular_pvalue=pvalue,
+            outlier_fraction=float((radii > 1.05).mean()),
+            spectral_radius=spectral_radius(lam),
+        )
+
+
 def run_circular_law_experiment(config: RunConfig) -> CircularLawReport:
     """Empirical spectral distribution against the uniform disc law.
 
@@ -436,24 +443,7 @@ def run_circular_law_experiment(config: RunConfig) -> CircularLawReport:
     """
     if config.n < 200:
         raise ValueError("circular-law experiment needs n >= 200")
-    samples = []
-    workers = min(2, available_cpus())
-    with single_blas_thread():
-        for t in range(config.trials):
-            with _solved_trial(config, t, workers) as lam:
-                stat, pvalue = angular_chisquare(np.angle(lam))
-                samples.append(
-                    CircularLawSample(
-                        stream_index=t,
-                        eigenvalues=lam,
-                        radial_ks=radial_ks_statistic(np.abs(lam)),
-                        angular_chi2=stat,
-                        angular_pvalue=pvalue,
-                        outlier_fraction=float((np.abs(lam) > 1.05).mean()),
-                        spectral_radius=spectral_radius(lam),
-                    )
-                )
-    return CircularLawReport(samples=tuple(samples))
+    return CircularLawReport(samples=_run_trials(config, _circular_law_sample))
 
 
 @dataclass(frozen=True)
@@ -480,7 +470,7 @@ def run_covariance_kernel_experiment(config: RunConfig) -> CovarianceKernelRepor
         raise ValueError("run_covariance_kernel_experiment needs contour points")
     if config.trials < 2:
         raise ValueError("need at least 2 trials to estimate a covariance")
-    batch = _run_trials(config)
+    batch = TrialBatch(config=config, records=_run_trials(config, _trial_record))
     t = len(batch.records) - batch.guard_rejections
     if t < 2:
         raise RuntimeError("fewer than 2 trials survived the norm guard")

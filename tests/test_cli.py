@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centro_spectra import eigen, harness
+from centro_spectra import eigen, harness, reduction
 from centro_spectra.cli import (
     config_to_json_dict,
     emit_plot_data,
@@ -26,7 +26,9 @@ from centro_spectra.linalg import (
     available_cpus,
     complex_from_pairs,
     complex_to_pairs,
+    single_blas_thread,
 )
+from centro_spectra.sampling import SeedStream, sample_centrosymmetric
 
 
 def _run(argv, capsys):
@@ -208,20 +210,48 @@ def test_failed_solve_on_the_helper_thread_fails_its_trial(monkeypatch, capsys):
 
     monkeypatch.setattr(eigen, "eigenvalues_dense", fails_off_the_main_thread)
     with pytest.raises(RuntimeError, match=r"^trial 0 failed: T2 broke$"):
-        harness.run_circular_law_experiment(RunConfig(n=201, trials=1, master_seed=5))
-    code, _, err = _run(["circular-law", "--n", "201", "--seed", "5", "--trials", "2"], capsys)
+        harness.run_circular_law_experiment(
+            RunConfig(n=1025, trials=2, master_seed=5, threads=1))
+    assert helper_solves == [512]  # T2 of n = 1025; trial 1 never starts
+    code, _, err = _run(["circular-law", "--n", "1025", "--seed", "5", "--trials", "2"], capsys)
     assert code == 2
     assert "trial 0 failed: T2 broke" in err
-    assert helper_solves == [100, 100]  # T2 of n = 201, once per run
+
+
+def _cli_env(**overrides) -> dict:
+    """This process's environment with BLAS threads unset, the package's
+    sources on PYTHONPATH and ``overrides`` applied."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS",
+                                                             "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return {**env, **overrides}
+
+
+@pytest.mark.skipif(not _openblas_thread_controls(), reason="no OpenBLAS thread-count entry point")
+def test_spectrum_on_the_helper_thread_gives_the_serial_bits(tmp_path):
+    """n = 1025 (odd, a 512-block T2): the blocks solved at once give the
+    serial bits, whatever the BLAS thread count."""
+    outputs = set()
+    for blas in ("1", "2"):
+        out = tmp_path / f"spectrum-{blas}.json"
+        subprocess.run(
+            [sys.executable, "-m", "centro_spectra.cli", "spectrum", "--n", "1025", "--seed",
+             "3", "--method", "blocks", "--out", str(out)],
+            env=_cli_env(OPENBLAS_NUM_THREADS=blas), check=True, capture_output=True,
+        )
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1
+    red = reduction.block_reduce(sample_centrosymmetric(1025, SeedStream(3, 0)))
+    with single_blas_thread():
+        serial = np.concatenate([eigen.eigenvalues_dense(red.t1), eigen.eigenvalues_dense(red.t2)])
+    lam = complex_from_pairs(json.loads(outputs.pop())["eigenvalues"])
+    assert red.t2.shape == (512, 512) and lam.tobytes() == serial.tobytes()
 
 
 @pytest.mark.skipif(not _openblas_thread_controls(), reason="no OpenBLAS thread-count entry point")
 def test_clt_bytes_do_not_depend_on_threads_or_blas_threads(tmp_path):
     """256-blocks: unpinned, the BLAS thread count would change the last bits."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS",
-                                                             "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     outputs = set()
     for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
         for threads in ("1", "2"):
@@ -230,7 +260,7 @@ def test_clt_bytes_do_not_depend_on_threads_or_blas_threads(tmp_path):
                 [sys.executable, "-m", "centro_spectra.cli", "clt", "--n", "512", "--trials",
                  "4", "--seed", "21", "--poly", "0,0,2,1", "--threads", threads,
                  "--out", str(out)],
-                env={**env, **blas}, check=True, capture_output=True,
+                env=_cli_env(**blas), check=True, capture_output=True,
             )
             outputs.add(out.with_suffix(".jsonl").read_bytes())
     assert len(outputs) == 1

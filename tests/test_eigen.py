@@ -1,16 +1,20 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from centro_spectra import eigen
 from centro_spectra.cli import parse_and_dispatch
 from centro_spectra.eigen import (
+    EigenSolverError,
     eigenvalues_centrosymmetric,
     eigenvalues_dense,
     match_spectra,
     spectral_radius,
 )
-from centro_spectra.linalg import operator_norm_estimate, single_blas_thread
+from centro_spectra.linalg import operator_norm_estimate
 from centro_spectra.sampling import CentrosymmetricMatrix, SeedStream, sample_centrosymmetric
 
 
@@ -55,13 +59,17 @@ _ZGEEV = np.linalg.eigvals
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * inf in Tr M^2
 def test_eigenvalue_check_rejects_bad_zgeev_output(monkeypatch, capsys, corrupt):
     """The one check on zgeev's output rejects a NaN, an inf and eigenvalues
-    that miss the trace identities, and inside a run it fails the trial."""
+    that miss the trace identities as a solver failure: inside a run it
+    fails the trial, and every command exits 2."""
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: corrupt(_ZGEEV(m)))
     rng = np.random.default_rng(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(EigenSolverError):
         eigenvalues_dense(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
     assert parse_and_dispatch(["clt", "--n", "8", "--trials", "4", "--poly", "1"]) == 2
     assert "trial 0 failed: eigenvalue check failed" in capsys.readouterr().err
+    for method in ("blocks", "dense"):
+        assert parse_and_dispatch(["spectrum", "--n", "8", "--method", method]) == 2, method
+        assert "runtime error: eigenvalue check failed" in capsys.readouterr().err
 
 
 def test_centrosymmetric_2x2_closed_form():
@@ -93,14 +101,23 @@ def test_block_path_matches_dense_path(n, seed, stream):
     assert match_spectra(eigenvalues_centrosymmetric(cm), eigenvalues_dense(cm.matrix)) <= tol
 
 
-def test_helper_thread_gives_the_serial_bits():
+def test_helper_thread_gives_the_serial_bits(monkeypatch):
     """T2 solved on a helper thread: the bits of the serial solve, for both
     parities (at n = 1, T2 is empty)."""
-    with single_blas_thread():
-        for n in range(1, 41):
-            cm = sample_centrosymmetric(n, stream=SeedStream(23, n))
-            serial = eigenvalues_centrosymmetric(cm)
-            assert eigenvalues_centrosymmetric(cm, 2).tobytes() == serial.tobytes(), n
+    samples = [sample_centrosymmetric(n, stream=SeedStream(23, n)) for n in range(1, 41)]
+    serial = [eigenvalues_centrosymmetric(cm) for cm in samples]
+    solve, helper_solves = eigen.eigenvalues_dense, []
+
+    def counting_solve(m):
+        helper_solves.append(threading.current_thread() is not threading.main_thread())
+        return solve(m)
+
+    monkeypatch.setattr(eigen, "_HELPER_MIN_SIDE", 0)
+    monkeypatch.setattr(eigen, "available_cpus", lambda: 2)
+    monkeypatch.setattr(eigen, "eigenvalues_dense", counting_solve)
+    for cm, lam in zip(samples, serial):
+        assert eigenvalues_centrosymmetric(cm).tobytes() == lam.tobytes(), cm.n
+    assert sum(helper_solves) == 40  # T2 of every n on the helper
 
 
 def test_block_path_16x16_tight():

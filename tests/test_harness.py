@@ -175,15 +175,21 @@ def test_guard_rejection_rate_is_tiny_at_default_rho():
     assert batch.guard_rejections / config.trials <= 0.01
 
 
+def _result_bytes(config: RunConfig) -> bytes:
+    if config.poly is not None:
+        return run_clt_experiment(config).les_values.tobytes()
+    samples = run_circular_law_experiment(config).samples
+    return b"".join(s.eigenvalues.tobytes() for s in samples)
+
+
 def test_thread_count_does_not_change_results():
-    base = None
-    for threads in (1, 2, 8):
-        config = RunConfig(n=64, trials=24, master_seed=9, poly=P_FIG, threads=threads)
-        values = run_clt_experiment(config).les_values
-        if base is None:
-            base = values
-        else:
-            assert np.array_equal(base, values)
+    for config in (
+        RunConfig(n=64, trials=24, master_seed=9, poly=P_FIG),
+        RunConfig(n=200, trials=3, master_seed=9),
+        RunConfig(n=201, trials=3, master_seed=9),
+    ):
+        results = {_result_bytes(replace(config, threads=threads)) for threads in (1, 2, 8)}
+        assert len(results) == 1, config
 
 
 def test_worker_count_is_capped_by_cpus_and_trials():
@@ -317,7 +323,7 @@ def test_circular_law_frees_the_sampled_half_before_the_solves(monkeypatch):
 
     monkeypatch.setattr(harness, "sample_centrosymmetric", sample_spy)
     monkeypatch.setattr(eigen, "eigenvalues_dense", solve_spy)
-    run_circular_law_experiment(RunConfig(n=201, trials=2, master_seed=7))
+    run_circular_law_experiment(RunConfig(n=201, trials=2, master_seed=7, threads=1))
     assert len(halves) == 2 and alive == [False] * 4
 
 

@@ -1,9 +1,11 @@
+import builtins
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from centro_spectra import linalg
 from centro_spectra.linalg import (
     PowerIterationError,
     _openblas_thread_controls,
@@ -119,3 +121,33 @@ def test_single_blas_thread_pins_and_restores():
         assert pinned
         assert [get() for _, get in controls] == [1] * len(controls)
     assert [get() for _, get in controls] == before
+
+
+def test_second_pin_opens_no_file(monkeypatch):
+    """Every block solve pins, so the OpenBLAS lookup (a scan of
+    /proc/self/maps) must run once per process, not once per pin."""
+    with single_blas_thread():
+        pass
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0] if args else kwargs.get("file"))
+        return real_open(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    with single_blas_thread():
+        pass
+    assert opened == []
+
+
+def test_pin_sets_only_the_counts_that_are_not_one(monkeypatch):
+    """In a forked child any set restarts OpenBLAS's thread pool, whose new
+    thread spins, so a count already at one is neither set nor restored."""
+    calls = []
+    controls = ((lambda count: calls.append(("a", count)), lambda: 1),
+                (lambda count: calls.append(("b", count)), lambda: 4))
+    monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: controls)
+    with single_blas_thread() as pinned:
+        assert pinned and calls == [("b", 1)]
+    assert calls == [("b", 1), ("b", 4)]
