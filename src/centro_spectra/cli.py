@@ -88,24 +88,22 @@ def config_to_json_dict(config: RunConfig) -> dict:
     }
 
 
-def _summary_dict(batch: TrialBatch) -> dict:
-    return {
-        "config": config_to_json_dict(batch.config),
-        "summaries": None if batch.summaries is None else asdict(batch.summaries),
-        "guard_rejections": batch.guard_rejections,
-    }
-
-
 def write_trial_jsonl(batch: TrialBatch, path: str):
-    """One record per trial: {trial_index, seed, les, spectral_radius, resolvent}."""
+    """One record per trial: {trial_index, seed, les, spectral_radius, resolvent}.
+
+    ``les`` and ``resolvent`` split the record's statistics vector back
+    into L(P) (null when rejected or without a polynomial) and Tr R_z by
+    contour point (empty when rejected)."""
+    lead = int(batch.config.poly is not None)
+    keys = [_complex_key(z) for z in batch.config.contour_points]
     with open(path, "w") as fh:
         for r in batch.records:
             record = {
                 "trial_index": r.trial_index,
                 "seed": r.trial_index,
-                "les": r.les,
+                "les": r.values[0] if lead and r.accepted else None,
                 "spectral_radius": r.spectral_radius,
-                "resolvent": {_complex_key(z): v for z, v in r.resolvent.items()},
+                "resolvent": dict(zip(keys, r.values[lead:])),
             }
             fh.write(_encode(record) + "\n")
 
@@ -130,7 +128,7 @@ def emit_plot_data(report: CircularLawReport | TrialBatch, path: str, bins: int 
                 for z in sample.eigenvalues:
                     fh.write(_complex_key(z) + "\n")
         return
-    values = report.les_values
+    values = report.values[0]
     if len(values) == 0:
         raise ValueError("no accepted trials to histogram")
     centered = (values - values.mean()).real
@@ -156,6 +154,20 @@ def _write_output(text: str, out: str | None):
     else:
         with open(out, "w") as fh:
             fh.write(text)
+
+
+def _write_batch(batch: TrialBatch, key: str, result, out: str | None) -> int:
+    """The summary JSON {config, key: result, guard_rejections} and, with
+    --out, the per-trial JSONL next to it."""
+    payload = {
+        "config": config_to_json_dict(batch.config),
+        key: result,
+        "guard_rejections": batch.guard_rejections,
+    }
+    _write_output(_encode(payload), out)
+    if out is not None:
+        write_trial_jsonl(batch, _jsonl_path_for(out))
+    return 0
 
 
 # ---------------------------------------------------------------- handlers
@@ -245,10 +257,8 @@ def _cmd_clt(args) -> int:
     if args.format == "csv":
         emit_plot_data(batch, args.out, bins=args.bins)
         return 0
-    _write_output(_encode(_summary_dict(batch)), args.out)
-    if args.out is not None:
-        write_trial_jsonl(batch, _jsonl_path_for(args.out))
-    return 0
+    summaries = None if batch.summaries is None else asdict(batch.summaries)
+    return _write_batch(batch, "summaries", summaries, args.out)
 
 
 def _cmd_moments(args) -> int:
@@ -283,16 +293,8 @@ def _cmd_resolvent_cov(args) -> int:
     if args.contour is None:
         raise ValueError("resolvent-cov needs --contour")
     config = _guarded_config(args, contour_points=_parse_contour(args.contour))
-    report = run_covariance_kernel_experiment(config)
-    payload = {
-        "config": config_to_json_dict(config),
-        "pairs": [asdict(p) for p in report.pairs],
-        "guard_rejections": report.batch.guard_rejections,
-    }
-    _write_output(_encode(payload), args.out)
-    if args.out is not None:
-        write_trial_jsonl(report.batch, _jsonl_path_for(args.out))
-    return 0
+    batch = run_covariance_kernel_experiment(config)
+    return _write_batch(batch, "pairs", [asdict(p) for p in batch.pairs], args.out)
 
 
 def _cmd_self_test(args) -> int:

@@ -21,8 +21,15 @@ experiment.  Trials whose spectral radius exceeds the norm guard ``rho``
 are rejected and counted, never silently dropped.
 
 Each experiment has one per-trial function that solves trial t where it
-is drawn and returns only its record: ``_trial_record`` (radius, L(P),
-Tr R_z) or ``_circular_law_sample``.  ``_run_trials`` maps it over a pool
+is drawn and returns only its record: ``_circular_law_sample``, or for the
+CLT and the kernel ``_trial_record``, whose record holds the radius, the
+accepted flag and one vector of statistics (L(P) when ``poly`` is set, then
+Tr R_z per contour point).  ``_centered_trials`` runs those trials and
+centres each column of ``TrialBatch.values`` once, by its mean over the
+accepted trials; each of the two experiments reduces its own columns.
+``scipy.special`` is imported only where ``_summarize`` and
+``angular_chisquare`` use it, so importing the CLI loads no scipy.
+``_run_trials`` maps the per-trial function over a pool
 of forked worker processes, at most ``RunConfig.threads`` of them (all
 CPUs when unset) and never more than the CPUs, the trials or one per
 ``_WORK_PER_WORKER`` of n^3 * trials; with one worker (as for the circular
@@ -40,11 +47,10 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
 
 from .eigen import eigenvalues_centrosymmetric, spectral_radius
 from .linalg import as_complex_matrix, available_cpus, single_blas_thread
@@ -53,7 +59,6 @@ from .sampling import SeedStream, sample_centrosymmetric
 __all__ = [
     "CircularLawReport",
     "CircularLawSample",
-    "CovarianceKernelReport",
     "KernelPair",
     "RunConfig",
     "SummaryStats",
@@ -219,8 +224,7 @@ class TrialRecord:
     trial_index: int  # also the seed substream the trial was drawn from
     spectral_radius: float
     accepted: bool
-    les: complex | None = None
-    resolvent: dict = field(default_factory=dict)  # contour point -> Tr R_z
+    values: tuple = ()  # L(P) when poly is set, then Tr R_z per contour point
 
 
 @dataclass(frozen=True)
@@ -228,22 +232,19 @@ class TrialBatch:
     config: RunConfig
     records: tuple
     summaries: SummaryStats | None = None
+    pairs: tuple = ()  # KernelPairs of the resolvent-covariance experiment
 
     @property
     def guard_rejections(self) -> int:
         return sum(1 for r in self.records if not r.accepted)
 
     @property
-    def les_values(self) -> np.ndarray:
-        return np.array(
-            [r.les for r in self.records if r.accepted], dtype=np.complex128
-        )
-
-    def resolvent_values(self, z: complex) -> np.ndarray:
-        z = complex(z)
-        return np.array(
-            [r.resolvent[z] for r in self.records if r.accepted], dtype=np.complex128
-        )
+    def values(self) -> np.ndarray:
+        """The accepted trials' statistics: one row per column of the
+        records' ``values`` and one entry per trial, each row contiguous."""
+        columns = (self.config.poly is not None) + len(self.config.contour_points)
+        accepted = [r.values for r in self.records if r.accepted]
+        return np.array(accepted, dtype=np.complex128).reshape(-1, columns).T.copy()
 
 
 @contextmanager
@@ -265,8 +266,8 @@ def _solved_trial(config: RunConfig, t: int):
 
 def _trial_record(config: RunConfig, t: int) -> TrialRecord:
     """Solve trial t, apply the norm guard and, on an accepted trial,
-    evaluate L(P) when ``config.poly`` is set and Tr R_z at every contour
-    point.  Only this record leaves a pool worker."""
+    evaluate L(P) when ``config.poly`` is set, then Tr R_z at every contour
+    point in config order.  Only this record leaves a pool worker."""
     with _solved_trial(config, t) as lam:
         radius = spectral_radius(lam)
         contour = config.contour_points
@@ -278,9 +279,9 @@ def _trial_record(config: RunConfig, t: int) -> TrialRecord:
             accepted = 1.2 * radius <= min_abs_z and min_abs_z - radius >= config.tau
         if not accepted:
             return TrialRecord(t, radius, False)
-        les_value = None if config.poly is None else les(lam, config.poly)
-        resolvent = {z: resolvent_trace(lam, z) for z in contour}
-        return TrialRecord(t, radius, True, les_value, resolvent)
+        head = () if config.poly is None else (les(lam, config.poly),)
+        traces = tuple(resolvent_trace(lam, z) for z in contour)
+        return TrialRecord(t, radius, True, head + traces)
 
 
 # n^3 * trials that one more worker process must have to earn its fork: on
@@ -338,11 +339,12 @@ def _ks_distance(sample, cdf) -> float:
     return float(max((np.arange(1.0, n + 1) / n - f).max(), (f - np.arange(0.0, n) / n).max()))
 
 
-def _summarize(values: np.ndarray, poly: TestPolynomial) -> SummaryStats:
+def _summarize(mean: complex, centered: np.ndarray, poly: TestPolynomial) -> SummaryStats:
+    """Summary of the LES samples, given their mean and the samples less it."""
+    from scipy.special import ndtr
+
     pred = predicted_sigma2(poly)
-    mean = values.mean()
-    centered = values - mean
-    t = len(values)
+    t = len(centered)
     variance_modulus = float((np.abs(centered) ** 2).sum() / (t - 1))
     variance_real = float(np.var(centered.real, ddof=1))
     real = centered.real
@@ -367,23 +369,31 @@ def _summarize(values: np.ndarray, poly: TestPolynomial) -> SummaryStats:
     )
 
 
-def run_clt_experiment(config: RunConfig) -> TrialBatch:
-    """Centered-LES fluctuation experiment.
-
-    Each trial samples a matrix, takes eigenvalues through the block path
-    and evaluates L(P).  Centering uses the empirical mean across accepted
-    trials (a consistent stand-in for the unknown finite-n expectation).
-    """
-    if config.poly is None:
-        raise ValueError("run_clt_experiment needs config.poly")
+def _centered_trials(config: RunConfig):
+    """Run the trials of a CLT or covariance experiment and centre each
+    column of their statistics once, by its empirical mean over the
+    accepted trials (a consistent stand-in for the unknown finite-n
+    expectation).  Returns the batch, the column means and the centred
+    (columns x accepted trials) array."""
     if config.trials < 2:
         raise ValueError("need at least 2 trials to estimate a variance")
     batch = TrialBatch(config=config, records=_run_trials(config, _trial_record))
-    values = batch.les_values
-    if len(values) == 0:
+    values = batch.values
+    if values.shape[1] == 0:
         raise RuntimeError("all trials rejected by the norm guard")
-    summaries = _summarize(values, config.poly) if len(values) >= 2 else None
-    return replace(batch, summaries=summaries)
+    means = values.mean(axis=1)
+    return batch, means, values - means[:, None]
+
+
+def run_clt_experiment(config: RunConfig) -> TrialBatch:
+    """Centered-LES fluctuation experiment: each trial's L(P) from its
+    block-path eigenvalues, summarized across the accepted trials."""
+    if config.poly is None:
+        raise ValueError("run_clt_experiment needs config.poly")
+    batch, means, centered = _centered_trials(config)
+    if centered.shape[1] < 2:
+        return batch
+    return replace(batch, summaries=_summarize(means[0], centered[0], config.poly))
 
 
 def radial_ks_statistic(radii: np.ndarray) -> float:
@@ -393,6 +403,8 @@ def radial_ks_statistic(radii: np.ndarray) -> float:
 
 def angular_chisquare(angles: np.ndarray) -> tuple[float, float]:
     """Chi-square uniformity test of arg(lambda) over 16 equal sectors."""
+    from scipy.special import chdtrc
+
     # fold exactly-pi angles into [-pi, pi) so no sample falls off the grid
     folded = np.mod(np.asarray(angles, dtype=np.float64) + np.pi, 2 * np.pi) - np.pi
     counts, _ = np.histogram(folded, bins=16, range=(-np.pi, np.pi))
@@ -454,35 +466,19 @@ class KernelPair:
     predicted: complex
 
 
-@dataclass(frozen=True)
-class CovarianceKernelReport:
-    pairs: tuple
-    batch: TrialBatch
-
-
-def run_covariance_kernel_experiment(config: RunConfig) -> CovarianceKernelReport:
-    """Empirical Cov(Tr R_z, conj Tr R_eta) against the limiting kernel.
-
-    Covariances are estimated over accepted trials after centering each
-    contour point's trace samples by their empirical mean.
-    """
+def run_covariance_kernel_experiment(config: RunConfig) -> TrialBatch:
+    """Empirical Cov(Tr R_z, conj Tr R_eta) over the accepted trials
+    against the limiting kernel, as the batch's ``pairs``."""
     if not config.contour_points:
         raise ValueError("run_covariance_kernel_experiment needs contour points")
-    if config.trials < 2:
-        raise ValueError("need at least 2 trials to estimate a covariance")
-    batch = TrialBatch(config=config, records=_run_trials(config, _trial_record))
-    t = len(batch.records) - batch.guard_rejections
+    batch, _, centered = _centered_trials(config)
+    t = centered.shape[1]
     if t < 2:
         raise RuntimeError("fewer than 2 trials survived the norm guard")
-    centered = {}
-    for z in config.contour_points:
-        values = batch.resolvent_values(z)
-        centered[z] = values - values.mean()
-    pairs = []
-    for z in config.contour_points:
-        for eta in config.contour_points:
-            emp = complex((centered[z] * np.conj(centered[eta])).sum() / (t - 1))
-            pairs.append(
-                KernelPair(z=z, eta=eta, empirical=emp, predicted=covariance_kernel(z, eta))
-            )
-    return CovarianceKernelReport(pairs=tuple(pairs), batch=batch)
+    points = tuple(zip(config.contour_points, centered[-len(config.contour_points):]))
+    pairs = tuple(
+        KernelPair(z, eta, complex((cz * np.conj(ce)).sum() / (t - 1)), covariance_kernel(z, eta))
+        for z, cz in points
+        for eta, ce in points
+    )
+    return replace(batch, pairs=pairs)

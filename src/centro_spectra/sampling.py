@@ -80,9 +80,9 @@ class SeedStream:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.Philox(key=[self.master_seed, self.stream_index])
-        )
+        # as a list, a key entry >= 2^63 would become a float64 and lose bits
+        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, offset: int) -> "SeedStream":
         """Substream at stream_index + offset (per-trial streams)."""

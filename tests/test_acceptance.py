@@ -207,7 +207,7 @@ def test_criterion_7_determinism(tmp_path):
         )
         report = run_covariance_kernel_experiment(config)
         path = tmp_path / f"cov_{threads}.jsonl"
-        write_trial_jsonl(report.batch, str(path))
+        write_trial_jsonl(report, str(path))
         cov_outputs.append(path.read_bytes())
     cov_ok = cov_outputs[0] == cov_outputs[1] == cov_outputs[2]
 

@@ -19,8 +19,16 @@ from centro_spectra.cli import (
     config_to_json_dict,
     emit_plot_data,
     parse_and_dispatch,
+    write_trial_jsonl,
 )
-from centro_spectra.harness import RunConfig, TestPolynomial, run_clt_experiment
+from centro_spectra.harness import (
+    RunConfig,
+    TestPolynomial,
+    les,
+    resolvent_trace,
+    run_clt_experiment,
+    run_covariance_kernel_experiment,
+)
 from centro_spectra.linalg import (
     _openblas_thread_controls,
     available_cpus,
@@ -354,11 +362,43 @@ def test_histogram_csv_overlay(tmp_path):
     lines = [l for l in text.splitlines() if l.startswith("les_centered,")]
     assert len(lines) == 12
     # bin edges cover [min, max] of the samples
-    values = (batch.les_values - batch.les_values.mean()).real
+    values = (batch.values[0] - batch.values[0].mean()).real
     first = lines[0].split(",")
     last = lines[-1].split(",")
     assert float(first[1]) == pytest.approx(values.min())
     assert float(last[2]) == pytest.approx(values.max())
+
+
+def test_jsonl_splits_the_statistics_vector_by_column(tmp_path):
+    """With a polynomial and contour points, each accepted record's les and
+    resolvent are L(P) and Tr R_z of that trial's own spectrum."""
+    poly = TestPolynomial(coeffs=(0.0, 1.0))
+    points = (1.7 + 0j, -2.0 + 0.5j)
+    config = RunConfig(n=64, trials=40, master_seed=2, poly=poly, contour_points=points)
+    for run in (run_clt_experiment, run_covariance_kernel_experiment):
+        batch = run(config)
+        assert batch.values.shape == (3, config.trials - batch.guard_rejections)
+        path = tmp_path / f"{run.__name__}.jsonl"
+        write_trial_jsonl(batch, str(path))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert 0 < batch.guard_rejections < config.trials
+        for t, record in enumerate(records):
+            if not batch.records[t].accepted:
+                assert record["les"] is None and record["resolvent"] == {}
+                continue
+            lam = eigen.eigenvalues_centrosymmetric(sample_centrosymmetric(64, SeedStream(2, t)))
+            assert complex_from_pairs([record["les"]])[0] == les(lam, poly)
+            assert list(record["resolvent"]) == ["1.7,0.0", "-2.0,0.5"]
+            got = complex_from_pairs(list(record["resolvent"].values()))
+            assert list(got) == [resolvent_trace(lam, z) for z in points]
+
+
+def test_all_rejected_runs_raise_in_both_experiments():
+    config = RunConfig(n=16, trials=3, master_seed=0, poly=TestPolynomial(coeffs=(1.0,)),
+                       contour_points=(3.0 + 0j,), rho=1e-6)
+    for run in (run_clt_experiment, run_covariance_kernel_experiment):
+        with pytest.raises(RuntimeError, match="all trials rejected"):
+            run(config)
 
 
 def test_resolvent_cov_output(tmp_path, capsys):
@@ -390,6 +430,15 @@ def test_config_json_round_trip_reproduces_results():
     assert tuple(complex_from_pairs(obj["poly"])) == config.poly.coeffs
     assert tuple(complex_from_pairs(obj["contour_points"])) == config.contour_points
     assert (obj["rho"], obj["tau"]) == (config.rho, config.tau)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, centro_spectra.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=_cli_env(), capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_only_cli_imports_json():

@@ -153,13 +153,13 @@ def test_clt_requires_poly_and_enough_trials():
 def test_clt_small_run_summaries():
     config = RunConfig(n=64, trials=60, master_seed=3, poly=P_LINEAR, threads=2)
     batch = run_clt_experiment(config)
-    assert len(batch.les_values) + batch.guard_rejections == config.trials
+    assert len(batch.values[0]) + batch.guard_rejections == config.trials
     s = batch.summaries
     assert s is not None
     assert s.predicted_sigma2 == pytest.approx(2.0)
     assert 0.0 <= s.ks_statistic <= 1.0
     assert s.variance_modulus >= 0.0
-    centered = batch.les_values - batch.les_values.mean()
+    centered = batch.values[0] - batch.values[0].mean()
     assert abs(centered.mean()) <= 1e-12  # centering is exact by construction
 
 
@@ -177,7 +177,7 @@ def test_guard_rejection_rate_is_tiny_at_default_rho():
 
 def _result_bytes(config: RunConfig) -> bytes:
     if config.poly is not None:
-        return run_clt_experiment(config).les_values.tobytes()
+        return run_clt_experiment(config).values[0].tobytes()
     samples = run_circular_law_experiment(config).samples
     return b"".join(s.eigenvalues.tobytes() for s in samples)
 
@@ -272,7 +272,7 @@ def test_statistics_equal_scipy_stats_bit_for_bit(kind, size, seed, coeffs):
     radii = np.abs(values) / max(np.abs(values).max(), 1e-300) * rng.uniform(0.8, 1.2)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        summary = _summarize(values, poly)
+        summary = _summarize(values.mean(), values - values.mean(), poly)
         radial = radial_ks_statistic(radii)
         chi2, pvalue = angular_chisquare(np.angle(values))
     assert stdout.getvalue() == ""
@@ -355,7 +355,7 @@ def test_covariance_experiment_structure():
     assert diag.predicted == pytest.approx(2.0 / 9.0)
     # loose at this small n; the acceptance suite runs the calibrated scale
     assert abs(diag.empirical - diag.predicted) <= 0.5 * abs(diag.predicted)
-    assert report.batch.guard_rejections == 0
+    assert report.guard_rejections == 0
 
 
 def test_covariance_experiment_requires_contour():

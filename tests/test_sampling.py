@@ -163,6 +163,16 @@ def test_unknown_distribution_rejected():
         EntryDistribution(kind="uniform_disc")
 
 
+def test_seeds_above_2_63_draw_apart():
+    """Every bit of a seed and a stream index reaches the Philox key."""
+    top = 2**64 - 1
+    for a, b in ((SeedStream(2**63, 0), SeedStream(2**63 + 1, 0)),
+                 (SeedStream(0, 2**63), SeedStream(0, 2**63 + 1)),
+                 (SeedStream(top, top), SeedStream(top - 1, top))):
+        assert not np.array_equal(sample_centrosymmetric(6, a).half,
+                                  sample_centrosymmetric(6, b).half)
+
+
 def test_seed_stream_validation():
     with pytest.raises(ValueError):
         SeedStream(-1, 0)
