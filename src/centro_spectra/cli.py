@@ -8,7 +8,8 @@ Commands are deterministic given their flags: every randomized command takes
 trials (default: one per CPU) and is recorded in the config JSON; the
 outputs are the same bytes whatever its value.  Exit codes: 0 success,
 1 validation failure (bad flags or values, found before any trial runs),
-2 runtime error (including a failed trial or solve).
+2 runtime error (including a failed trial or solve, and fewer than two
+trials surviving the norm guard in clt or resolvent-cov).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .harness import (
     RunConfig,
     TestPolynomial,
     TrialBatch,
-    predicted_sigma2,
     run_circular_law_experiment,
     run_clt_experiment,
     run_covariance_kernel_experiment,
@@ -97,10 +97,10 @@ def write_trial_jsonl(batch: TrialBatch, path: str):
     lead = int(batch.config.poly is not None)
     keys = [_complex_key(z) for z in batch.config.contour_points]
     with open(path, "w") as fh:
-        for r in batch.records:
+        for t, r in enumerate(batch.records):
             record = {
-                "trial_index": r.trial_index,
-                "seed": r.trial_index,
+                "trial_index": t,
+                "seed": t,
                 "les": r.values[0] if lead and r.accepted else None,
                 "spectral_radius": r.spectral_radius,
                 "resolvent": dict(zip(keys, r.values[lead:])),
@@ -117,9 +117,10 @@ def emit_plot_data(report: CircularLawReport | TrialBatch, path: str, bins: int 
     """CSV plot data, chosen by the report's type.
 
     A circular-law report gives its eigenvalue scatter, one re,im row per
-    eigenvalue.  A trial batch gives a centered-LES histogram in two series
-    (raw L-centered and L-centered divided by sqrt(n)) with their Gaussian
-    overlay parameters in the header comments.
+    eigenvalue.  A CLT batch gives a centered-LES histogram in two series
+    (raw L-centered and L-centered divided by sqrt(n)), centred by its
+    summaries' mean, with their Gaussian overlay parameters in the header
+    comments.
     """
     if isinstance(report, CircularLawReport):
         with open(path, "w") as fh:
@@ -128,11 +129,8 @@ def emit_plot_data(report: CircularLawReport | TrialBatch, path: str, bins: int 
                 for z in sample.eigenvalues:
                     fh.write(_complex_key(z) + "\n")
         return
-    values = report.values[0]
-    if len(values) == 0:
-        raise ValueError("no accepted trials to histogram")
-    centered = (values - values.mean()).real
-    sigma2 = predicted_sigma2(report.config.poly)
+    centered = (report.values[0] - report.summaries.mean).real
+    sigma2 = report.summaries.predicted_sigma2
     n = report.config.n
     series = [
         ("les_centered", centered, sigma2),
@@ -235,14 +233,14 @@ def _cmd_circular_law(args) -> int:
         "config": config_to_json_dict(config),
         "samples": [
             {
-                "seed": s.stream_index,
+                "seed": t,
                 "radial_ks": s.radial_ks,
                 "angular_chi2": s.angular_chi2,
                 "angular_pvalue": s.angular_pvalue,
                 "outlier_fraction": s.outlier_fraction,
                 "spectral_radius": s.spectral_radius,
             }
-            for s in report.samples
+            for t, s in enumerate(report.samples)
         ],
     }
     _write_output(_encode(payload), args.out)
@@ -257,8 +255,7 @@ def _cmd_clt(args) -> int:
     if args.format == "csv":
         emit_plot_data(batch, args.out, bins=args.bins)
         return 0
-    summaries = None if batch.summaries is None else asdict(batch.summaries)
-    return _write_batch(batch, "summaries", summaries, args.out)
+    return _write_batch(batch, "summaries", asdict(batch.summaries), args.out)
 
 
 def _cmd_moments(args) -> int:

@@ -1,9 +1,9 @@
 """Monte Carlo experiments on the centrosymmetric ensemble.
 
-Three experiments run on one trial engine, ``_run_trials``, and one trial
-solver, ``_solved_trial``: trial t is drawn from seed substream t,
-``SeedStream(master_seed, t)``, and solved on its two blocks, and each
-experiment computes its statistics from the spectra:
+Three experiments run on one trial engine.  ``_trial`` owns each trial: it
+draws trial t from seed substream t, ``SeedStream(master_seed, t)``,
+solves it on its two blocks, and returns a statistic of the eigenvalues;
+each experiment supplies that statistic:
 
 * circular law: eigenvalue cloud of one (or a few) large samples against
   the uniform law on the unit disc (radial KS, angular chi-square, outlier
@@ -15,38 +15,37 @@ experiment computes its statistics from the spectra:
   the kernel 2 (1 - z conj(eta))^-2 for contour points outside the disc.
 
 A trial that fails (a draw, a solve whose eigenvalues fail the finiteness
-and trace check, or a statistic) raises ``RuntimeError``
-naming the trial, which the CLI reports as exit code 2 in every
-experiment.  Trials whose spectral radius exceeds the norm guard ``rho``
-are rejected and counted, never silently dropped.
+and trace check, or a statistic) raises ``RuntimeError`` naming the trial,
+which the CLI reports as exit code 2 in every experiment.  Trials whose
+spectral radius exceeds the norm guard ``rho`` are rejected and counted,
+never silently dropped.
 
-Each experiment has one per-trial function that solves trial t where it
-is drawn and returns only its record: ``_circular_law_sample``, or for the
-CLT and the kernel ``_trial_record``, whose record holds the radius, the
-accepted flag and one vector of statistics (L(P) when ``poly`` is set, then
-Tr R_z per contour point).  ``_centered_trials`` runs those trials and
-centres each column of ``TrialBatch.values`` once, by its mean over the
-accepted trials; each of the two experiments reduces its own columns.
-``scipy.special`` is imported only where ``_summarize`` and
+The statistics are plain functions of a spectrum: ``_circular_law_sample``,
+or for the CLT and the kernel ``_trial_record``, whose record holds the
+radius, the accepted flag and one vector of statistics (L(P) when ``poly``
+is set, then Tr R_z per contour point).  Records carry no index: a record's
+position in the tuple the engine returns is its trial index.
+``_centered_trials`` runs those trials, needs two accepted trials in both
+experiments, and centres each column of ``TrialBatch.values`` once, by its
+mean over the accepted trials; each of the two experiments reduces its own
+columns.  ``scipy.special`` is imported only where ``_summarize`` and
 ``angular_chisquare`` use it, so importing the CLI loads no scipy.
-``_run_trials`` maps the per-trial function over a pool
-of forked worker processes, at most ``RunConfig.threads`` of them (all
-CPUs when unset) and never more than the CPUs, the trials or one per
-``_WORK_PER_WORKER`` of n^3 * trials; with one worker (as for the circular
-law's default single sample) trials run inline.  Threads would not do: 16
-trials at n = 512 took 3.12 s serial, 3.43 s on two threads and 1.61 s on
-the pool (2 vCPUs).  The engine runs with OpenBLAS on one thread, which
-the workers inherit, and records are consumed in index order, so they are
-the same to the bit for every ``threads`` value and every BLAS thread
-setting.  Trials run inline where no OpenBLAS entry point is found (with
-BLAS as configured), ``fork`` is unavailable or the process runs other
-threads.
+``_run_trials`` maps ``_trial`` over a pool of forked worker processes, at
+most ``RunConfig.threads`` of them (all CPUs when unset) and never more
+than the CPUs, the trials or one per ``_WORK_PER_WORKER`` of n^3 * trials;
+with one worker (as for the circular law's default single sample) trials
+run inline.  Threads would not do: 16 trials at n = 512 took 3.12 s
+serial, 3.43 s on two threads and 1.61 s on the pool (2 vCPUs).  The
+engine runs with OpenBLAS on one thread, which the workers inherit, and
+records are consumed in index order, so they are the same to the bit for
+every ``threads`` value and every BLAS thread setting.  Trials run inline
+where no OpenBLAS entry point is found (with BLAS as configured), ``fork``
+is unavailable or the process runs other threads.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -54,6 +53,7 @@ import numpy as np
 
 from .eigen import eigenvalues_centrosymmetric, spectral_radius
 from .linalg import as_complex_matrix, available_cpus, single_blas_thread
+from .moments import _power_traces
 from .sampling import SeedStream, sample_centrosymmetric
 
 __all__ = [
@@ -152,12 +152,8 @@ def resolvent_series_gap(matrix, eigenvalues: np.ndarray, z: complex, terms: int
     """
     m = as_complex_matrix(matrix)
     z = complex(z)
-    n = m.shape[0]
-    series = n / z
-    power = np.eye(n, dtype=np.complex128)
-    for k in range(1, terms + 1):
-        power = power @ m
-        series += z ** (-k - 1) * np.trace(power)
+    traces = _power_traces(m, set(range(1, terms + 1)))
+    series = sum((z ** (-k - 1) * traces[k] for k in range(1, terms + 1)), m.shape[0] / z)
     return float(abs(resolvent_trace(eigenvalues, z) - series))
 
 
@@ -221,7 +217,6 @@ class SummaryStats:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    trial_index: int  # also the seed substream the trial was drawn from
     spectral_radius: float
     accepted: bool
     values: tuple = ()  # L(P) when poly is set, then Tr R_z per contour point
@@ -247,41 +242,23 @@ class TrialBatch:
         return np.array(accepted, dtype=np.complex128).reshape(-1, columns).T.copy()
 
 
-@contextmanager
-def _solved_trial(config: RunConfig, t: int):
-    """Draw trial t from ``SeedStream(config.master_seed, t)``, solve it on
-    its blocks and yield its eigenvalues; a failure in the solve or in the
-    caller's block is re-raised as RuntimeError naming t.  The draw is passed
-    straight to the solver, which frees it before the blocks are solved.
-    The sampler, the solver and the statistics are looked up when the trial
-    runs, so a wrapper installed on this module reaches pool workers forked
-    after it."""
-    try:
-        yield eigenvalues_centrosymmetric(
-            sample_centrosymmetric(config.n, SeedStream(config.master_seed, t))
-        )
-    except Exception as exc:
-        raise RuntimeError(f"trial {t} failed: {exc}") from exc
-
-
-def _trial_record(config: RunConfig, t: int) -> TrialRecord:
-    """Solve trial t, apply the norm guard and, on an accepted trial,
+def _trial_record(config: RunConfig, lam: np.ndarray) -> TrialRecord:
+    """Apply the norm guard to a trial's spectrum and, when it passes,
     evaluate L(P) when ``config.poly`` is set, then Tr R_z at every contour
-    point in config order.  Only this record leaves a pool worker."""
-    with _solved_trial(config, t) as lam:
-        radius = spectral_radius(lam)
-        contour = config.contour_points
-        accepted = radius <= config.rho
-        if accepted and contour:
-            # Resolvents stay well conditioned only with a margin between
-            # the contour and the spectrum.
-            min_abs_z = min(abs(z) for z in contour)
-            accepted = 1.2 * radius <= min_abs_z and min_abs_z - radius >= config.tau
-        if not accepted:
-            return TrialRecord(t, radius, False)
-        head = () if config.poly is None else (les(lam, config.poly),)
-        traces = tuple(resolvent_trace(lam, z) for z in contour)
-        return TrialRecord(t, radius, True, head + traces)
+    point in config order."""
+    radius = spectral_radius(lam)
+    contour = config.contour_points
+    accepted = radius <= config.rho
+    if accepted and contour:
+        # Resolvents stay well conditioned only with a margin between
+        # the contour and the spectrum.
+        min_abs_z = min(abs(z) for z in contour)
+        accepted = 1.2 * radius <= min_abs_z and min_abs_z - radius >= config.tau
+    if not accepted:
+        return TrialRecord(radius, False)
+    head = () if config.poly is None else (les(lam, config.poly),)
+    traces = tuple(resolvent_trace(lam, z) for z in contour)
+    return TrialRecord(radius, True, head + traces)
 
 
 # n^3 * trials that one more worker process must have to earn its fork: on
@@ -313,11 +290,27 @@ def _fork_pool(workers: int):
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
-def _run_trials(config: RunConfig, trial) -> tuple:
-    """``trial(config, t)`` for t = 0, 1, ... in index order, on a worker
-    pool when more than one worker is allowed, with OpenBLAS on one thread
-    throughout (see the module notes)."""
-    record = partial(trial, config)
+def _trial(config: RunConfig, statistic, t: int):
+    """Draw trial t from ``SeedStream(config.master_seed, t)``, solve it on
+    its blocks and return ``statistic(config, eigenvalues)``; any failure is
+    re-raised as RuntimeError naming t.  The draw is passed straight to the
+    solver, which frees it before the blocks are solved, and only the
+    statistic leaves a pool worker.  The sampler, the solver and the
+    statistics are looked up when the trial runs, so a wrapper installed on
+    this module reaches pool workers forked after it."""
+    try:
+        return statistic(config, eigenvalues_centrosymmetric(
+            sample_centrosymmetric(config.n, SeedStream(config.master_seed, t))
+        ))
+    except Exception as exc:
+        raise RuntimeError(f"trial {t} failed: {exc}") from exc
+
+
+def _run_trials(config: RunConfig, statistic) -> tuple:
+    """``_trial(config, statistic, t)`` for t = 0, 1, ... in index order, on
+    a worker pool when more than one worker is allowed, with OpenBLAS on one
+    thread throughout (see the module notes)."""
+    record = partial(_trial, config, statistic)
     workers = _worker_count(config.threads, config.n, config.trials, available_cpus())
     with single_blas_thread() as pinned:
         pool = _fork_pool(workers) if workers > 1 and pinned else None
@@ -374,13 +367,16 @@ def _centered_trials(config: RunConfig):
     column of their statistics once, by its empirical mean over the
     accepted trials (a consistent stand-in for the unknown finite-n
     expectation).  Returns the batch, the column means and the centred
-    (columns x accepted trials) array."""
+    (columns x accepted trials) array; fewer than two accepted trials
+    estimate no variance and raise RuntimeError."""
     if config.trials < 2:
         raise ValueError("need at least 2 trials to estimate a variance")
     batch = TrialBatch(config=config, records=_run_trials(config, _trial_record))
     values = batch.values
     if values.shape[1] == 0:
         raise RuntimeError("all trials rejected by the norm guard")
+    if values.shape[1] < 2:
+        raise RuntimeError("fewer than 2 trials survived the norm guard")
     means = values.mean(axis=1)
     return batch, means, values - means[:, None]
 
@@ -391,8 +387,6 @@ def run_clt_experiment(config: RunConfig) -> TrialBatch:
     if config.poly is None:
         raise ValueError("run_clt_experiment needs config.poly")
     batch, means, centered = _centered_trials(config)
-    if centered.shape[1] < 2:
-        return batch
     return replace(batch, summaries=_summarize(means[0], centered[0], config.poly))
 
 
@@ -417,7 +411,6 @@ def angular_chisquare(angles: np.ndarray) -> tuple[float, float]:
 class CircularLawSample:
     """``==`` is identity, so no comparison ever reaches the array."""
 
-    stream_index: int
     eigenvalues: np.ndarray
     radial_ks: float
     angular_chi2: float
@@ -431,20 +424,18 @@ class CircularLawReport:
     samples: tuple
 
 
-def _circular_law_sample(config: RunConfig, t: int) -> CircularLawSample:
-    """Solve sample t and test its eigenvalue cloud against the disc law."""
-    with _solved_trial(config, t) as lam:
-        radii = np.abs(lam)
-        stat, pvalue = angular_chisquare(np.angle(lam))
-        return CircularLawSample(
-            stream_index=t,
-            eigenvalues=lam,
-            radial_ks=radial_ks_statistic(radii),
-            angular_chi2=stat,
-            angular_pvalue=pvalue,
-            outlier_fraction=float((radii > 1.05).mean()),
-            spectral_radius=spectral_radius(lam),
-        )
+def _circular_law_sample(config: RunConfig, lam: np.ndarray) -> CircularLawSample:
+    """Test a sample's eigenvalue cloud against the disc law."""
+    radii = np.abs(lam)
+    stat, pvalue = angular_chisquare(np.angle(lam))
+    return CircularLawSample(
+        eigenvalues=lam,
+        radial_ks=radial_ks_statistic(radii),
+        angular_chi2=stat,
+        angular_pvalue=pvalue,
+        outlier_fraction=float((radii > 1.05).mean()),
+        spectral_radius=spectral_radius(lam),
+    )
 
 
 def run_circular_law_experiment(config: RunConfig) -> CircularLawReport:
@@ -473,8 +464,6 @@ def run_covariance_kernel_experiment(config: RunConfig) -> TrialBatch:
         raise ValueError("run_covariance_kernel_experiment needs contour points")
     batch, _, centered = _centered_trials(config)
     t = centered.shape[1]
-    if t < 2:
-        raise RuntimeError("fewer than 2 trials survived the norm guard")
     points = tuple(zip(config.contour_points, centered[-len(config.contour_points):]))
     pairs = tuple(
         KernelPair(z, eta, complex((cz * np.conj(ce)).sum() / (t - 1)), covariance_kernel(z, eta))

@@ -45,7 +45,7 @@ def as_complex_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 

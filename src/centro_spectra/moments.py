@@ -280,7 +280,7 @@ def _power_traces(t: np.ndarray, degrees: set[int]) -> dict[int, np.ndarray]:
     Tr T^d = sum_ij (T^floor(d/2))_ij (T^ceil(d/2))_ji.
     """
     powers = [None, t]  # powers[p] = T^p
-    while 2 * (len(powers) - 1) < max(degrees):
+    while 2 * (len(powers) - 1) < max(degrees, default=0):
         powers.append(powers[-1] @ t)
     return {
         d: np.einsum("...ii->...", t) if d == 1

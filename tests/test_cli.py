@@ -401,6 +401,34 @@ def test_all_rejected_runs_raise_in_both_experiments():
             run(config)
 
 
+def test_a_single_survivor_fails_both_experiments(monkeypatch, capsys):
+    """Only trial 0 passes the guard: one accepted trial estimates no
+    variance, so both experiments raise and both commands exit 2."""
+    radius = harness.spectral_radius
+
+    def only_trial_0_passes():
+        calls = []
+
+        def guarded(lam):  # threads=1: trials run inline, in index order
+            calls.append(None)
+            return radius(lam) if len(calls) == 1 else np.inf
+
+        monkeypatch.setattr(harness, "spectral_radius", guarded)
+
+    message = "fewer than 2 trials survived the norm guard"
+    config = RunConfig(n=16, trials=3, master_seed=0, poly=TestPolynomial(coeffs=(1.0,)),
+                       contour_points=(3.0 + 0j,), threads=1)
+    for run in (run_clt_experiment, run_covariance_kernel_experiment):
+        only_trial_0_passes()
+        with pytest.raises(RuntimeError, match=message):
+            run(config)
+    for flags in (["clt", "--poly", "1"], ["resolvent-cov", "--contour", "3,0"]):
+        only_trial_0_passes()
+        code, out, err = _run([*flags, "--n", "16", "--trials", "3", "--threads", "1"], capsys)
+        assert code == 2 and out == ""
+        assert message in err
+
+
 def test_resolvent_cov_output(tmp_path, capsys):
     path = tmp_path / "cov.json"
     code, _, _ = _run(

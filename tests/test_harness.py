@@ -116,7 +116,16 @@ def test_resolvent_series_consistency():
     for t in range(3):
         cm = sample_centrosymmetric(256, stream=SeedStream(7, t))
         lam = eigenvalues_centrosymmetric(cm)
-        assert resolvent_series_gap(cm.matrix, lam, 2.5, terms=8) <= 0.05
+        gap = resolvent_series_gap(cm.matrix, lam, 2.5, terms=8)
+        assert gap <= 0.05
+        # reference: the series from full matrix powers, one matmul per term
+        series, power = 256 / 2.5, np.eye(256, dtype=np.complex128)
+        for k in range(1, 9):
+            power = power @ cm.matrix
+            series += 2.5 ** (-k - 1) * np.trace(power)
+        assert gap == pytest.approx(abs(resolvent_trace(lam, 2.5) - series), abs=1e-10)
+    no_terms = abs(resolvent_trace(lam, 2.5) - 256 / 2.5)
+    assert resolvent_series_gap(cm.matrix, lam, 2.5, terms=0) == no_terms
 
 
 def test_run_config_validation():

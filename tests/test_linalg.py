@@ -41,7 +41,9 @@ def test_counter_identity_rejects_nonpositive():
 
 
 def test_as_complex_matrix_rejects_nonfinite():
-    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+    nonfinite = (np.nan, np.inf, -np.inf)
+    for bad in (*nonfinite, *(complex(x, 0.0) for x in nonfinite),
+                *(complex(0.0, x) for x in nonfinite)):
         with pytest.raises(ValueError):
             as_complex_matrix(np.array([[bad, 0], [0, 1]]))
     with pytest.raises(ValueError):
