@@ -20,8 +20,6 @@ on one BLAS thread each, serial against threaded (2 vCPUs): 32 of 256 took
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .linalg import as_complex_matrix, available_cpus, single_blas_thread
@@ -93,6 +91,7 @@ def eigenvalues_centrosymmetric(cm: CentrosymmetricMatrix) -> np.ndarray:
         del cm
         if red.t2.shape[0] < _HELPER_MIN_SIDE or available_cpus() < 2:
             return np.concatenate([eigenvalues_dense(red.t1), eigenvalues_dense(red.t2)])
+        from concurrent.futures import ThreadPoolExecutor  # loaded on use, not at import
         with ThreadPoolExecutor(1) as helper:
             lam2 = helper.submit(eigenvalues_dense, red.t2)
             lam1 = eigenvalues_dense(red.t1)

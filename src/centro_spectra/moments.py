@@ -9,8 +9,8 @@ That makes mixed trace moments exactly computable in two independent ways:
   Gaussian moment rule E[u^p conj(u)^q] = 0 if p != q else p!, a pair of
   chains contributes w(S) = prod_v p_v! exactly when both read the same
   multiset S of variables (p_v copies of v), so the moment is
-  sum_S c(S)^2 w(S), where c(S) counts the chains reading S; the sum is
-  taken in exact integers;
+  sum_S c(S)^2 w(S), where c(S) counts the chains reading S, in exact
+  integers from one np.unique pass over each chain's sorted ids as a key;
 * pairing count: for Gaussian entries the reduction M ~ diag(T1, T2)
   gives two independent blocks of i.i.d. circular entries, so the moment is
   E|Tr T1^k|^2 + E|Tr T2^k|^2, each a sum over the Wick pairings of its
@@ -36,13 +36,11 @@ traces of the 1/sqrt(n)-scaled matrix.
 
 from __future__ import annotations
 
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import factorial, prod
+from itertools import pairwise, permutations
+from math import factorial
 
 import numpy as np
 
@@ -152,22 +150,23 @@ def exact_single_trace_moment(n: int, k: int) -> Fraction:
 def _enumeration_exact(n: int, k: int) -> Fraction:
     """Sum the moment rule over the n^(2k) chain pairs from the n^k chains (k = l).
 
-    Chain i_0..i_{k-1} reads the factors at positions (i_a, i_{a+1 mod k}).
-    The 0-based position (i, j) has flat index f = i n + j; it and its
-    mirror n^2 - 1 - f hold one free variable, whose id is the smaller.  A pair of chains contributes
-    w(S) = prod_v p_v! exactly when both read the same multiset S of ids
-    (p_v copies of v), so the n^(2k) pairs sum to sum_S c(S)^2 w(S), where
-    c(S) counts the n^k single chains that read S.
+    Chain i_0..i_{k-1} reads the factors at flat index f = i_a n + i_{a+1 mod k};
+    f and its mirror n^2 - 1 - f hold one free variable, whose id is the smaller.
+    Each chain's sorted ids make one key in base n^2 (below n^(2k) <= 10^8), so one
+    ``np.unique`` gives c(S) and a row of each id multiset S; w(S) = prod_v p_v! is
+    the running product of each id's rank in its run of equal ids, in int64 for
+    n >= 2 (total < 10^8 * 13! < 2^63), in Python ints at n = 1 (k! > 2^63 from k = 21).
     """
     chains = np.arange(n**k)[:, None] // n ** np.arange(k) % n
     flat = chains * n + np.roll(chains, -1, axis=1)
-    ids = np.minimum(flat, n * n - 1 - flat)
-    ids.sort(axis=1)
-    multisets, counts = np.unique(ids, axis=0, return_counts=True)
-    total = 0
-    for s, c in zip(multisets.tolist(), counts.tolist()):
-        total += c * c * prod(map(factorial, Counter(s).values()))
-    return Fraction(total, n**k)
+    ids = np.sort(np.minimum(flat, n * n - 1 - flat), axis=1)
+    keys = ids @ (n * n) ** np.arange(k)
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    weights = rank = np.ones(len(first), dtype=object if n == 1 else np.int64)
+    for left, right in pairwise(ids[first].T):
+        rank = np.where(right == left, rank + 1, 1)
+        weights = weights * rank
+    return Fraction(int((counts * counts * weights).sum()), n**k)
 
 
 @lru_cache(maxsize=None)
@@ -247,6 +246,7 @@ def mc_trace_moment(q: MomentQuery, trials: int, stream: SeedStream) -> McEstima
     """
     if trials < 10**3:
         raise ValueError(f"need at least 10^3 trials, got {trials}")
+    from concurrent.futures import ThreadPoolExecutor  # loaded on use, not at import
     counts = [min(_MC_CHUNK, trials - start) for start in range(0, trials, _MC_CHUNK)]
     with ThreadPoolExecutor(min(available_cpus(), len(counts))) as pool:
         partials = list(pool.map(

@@ -55,8 +55,8 @@ class EntryDistribution:
             raise ValueError(f"unsupported entry distribution: {self.kind!r}")
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        raw = rng.standard_normal(2 * count) * np.sqrt(0.5)
-        return raw[0::2] + 1j * raw[1::2]
+        raw = rng.standard_normal(2 * count)
+        return np.multiply(raw, np.sqrt(0.5), out=raw).view(np.complex128)
 
 
 STANDARD_COMPLEX_GAUSSIAN = EntryDistribution()
@@ -147,7 +147,8 @@ def _sample_batch(n: int, dist: EntryDistribution, stream: SeedStream, count: in
         raise ValueError(f"n must be >= 1, got {n}")
     s = n // 2
     n_free = (n * n + 1) // 2
-    raw = dist.draw(count * n_free, stream.generator()).reshape(count, n_free) / np.sqrt(n)
+    raw = dist.draw(count * n_free, stream.generator()).reshape(count, n_free)
+    raw *= 1 / np.sqrt(n)  # the bits of numpy's complex-by-real division
     top = raw[:, : s * n].reshape(count, s, n)
     if n % 2 == 0:
         return top

@@ -469,6 +469,16 @@ def test_importing_the_cli_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_loads_no_concurrent_futures():
+    # the thread pools of the helper solve and the Monte Carlo chunks import it on use
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, centro_spectra.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        env=_cli_env(), capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "False"
+
+
 def test_only_cli_imports_json():
     package = Path(__file__).resolve().parents[1] / "src" / "centro_spectra"
     importers = set()

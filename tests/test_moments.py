@@ -145,6 +145,15 @@ def test_enumeration_is_k_factorial_at_n1():
         assert exact_mixed_trace_moment(MomentQuery(1, k, k)) == factorial(k), k
 
 
+def test_enumeration_at_n2_up_to_the_budget_edge():
+    # n = 2: the eigenvalues a + b and a - b are independent circular Gaussians
+    # of variance 2, so n^k E|Tr M^k|^2 = 2 * 2^k k!; k = 13 is the largest k the
+    # budget admits at n = 2, and there the weights w(S) reach 13!
+    assert 2**26 <= ENUMERATION_BUDGET < 2**28  # n^(2k) at k = 13 and at k = 14
+    for k in range(1, 14):
+        assert moments._enumeration_exact(2, k) == 2 * factorial(k), k
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 64), k=st.integers(1, 4))
 def test_matchings_equal_per_n_loop(n, k):

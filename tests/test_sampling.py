@@ -173,6 +173,20 @@ def test_seeds_above_2_63_draw_apart():
                                   sample_centrosymmetric(6, b).half)
 
 
+@pytest.mark.parametrize("n, count, seed",
+                         [(10, 3, 7), (11, 3, 2**63 + 7), (2000, 1, 2**64 - 1)])
+def test_sample_batch_has_the_bits_of_the_complex_formula(n, count, seed):
+    """The in-place draw and scaling give the bits of forming each entry as
+    (g0 + i g1) sqrt(1/2) / sqrt(n) from the same Philox normals."""
+    stream = SeedStream(seed, 5)
+    n_free = (n * n + 1) // 2
+    g = stream.generator().standard_normal(2 * count * n_free)
+    expected = (g[0::2] + 1j * g[1::2]) * np.sqrt(0.5) / np.sqrt(n)
+    batch = _sample_batch(n, STANDARD_COMPLEX_GAUSSIAN, stream, count)
+    free = batch.reshape(count, -1)[:, :n_free]  # top rows, then the odd middle row's left part
+    assert np.array_equal(free.reshape(-1).view(np.uint64), expected.view(np.uint64))
+
+
 def test_seed_stream_validation():
     with pytest.raises(ValueError):
         SeedStream(-1, 0)
