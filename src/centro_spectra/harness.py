@@ -28,8 +28,10 @@ position in the tuple the engine returns is its trial index.
 ``_centered_trials`` runs those trials, needs two accepted trials in both
 experiments, and centres each column of ``TrialBatch.values`` once, by its
 mean over the accepted trials; each of the two experiments reduces its own
-columns.  ``scipy.special`` is imported only where ``_summarize`` and
-``angular_chisquare`` use it, so importing the CLI loads no scipy.
+columns.  The normal CDF of ``_summarize`` and the chi-square tail of
+``angular_chisquare`` are ports of the cephes routines scipy runs, with
+scipy's bits, so no command loads scipy; it is left to
+``eigen.match_spectra`` and to the tests, as their reference.
 ``_run_trials`` maps ``_trial`` over a pool of forked worker processes, at
 most ``RunConfig.threads`` of them (all CPUs when unset) and never more
 than the CPUs, the trials or one per ``_WORK_PER_WORKER`` of n^3 * trials;
@@ -45,6 +47,7 @@ is unavailable or the process runs other threads.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, replace
 from functools import partial
@@ -332,10 +335,125 @@ def _ks_distance(sample, cdf) -> float:
     return float(max((np.arange(1.0, n + 1) / n - f).max(), (f - np.arange(0.0, n) / n).max()))
 
 
-def _summarize(mean: complex, centered: np.ndarray, poly: TestPolynomial) -> SummaryStats:
-    """Summary of the LES samples, given their mean and the samples less it."""
-    from scipy.special import ndtr
+# Moshier's cephes (Methods and Programs for Mathematical Functions, 1989),
+# as scipy.special runs it: ndtr through erf and erfc, and igamc at a = 15/2
+# for chdtrc(15, .).  Scalar floats with libm's exp, log and pow give scipy's
+# bits; numpy's exp differs from libm's in the last bit for about 4 % of
+# arguments in [-745, -0.5].  Each denominator starts with the leading 1
+# that cephes's p1evl implies; Horner's rule from it gives p1evl's bits.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
+_MACHEP = 1.11022302462515654042e-16  # 2^-53
+_SQRT1_2 = math.sqrt(0.5)
+_A = 7.5  # chdtrc(15, s) = igamc(15/2, s/2)
+_LGAM_A = 7.534364236758734  # cephes lgam(7.5)
+_LANCZOS_FAC = 13.02468004077673  # a + lanczos_g - 0.5
+_LANCZOS_PREFACTOR = 67.82839623012609  # sqrt(fac / e) / lanczos_sum_expg_scaled(a)
 
+
+def _polevl(x: float, coeffs: tuple) -> float:
+    """cephes polevl: Horner's rule from the leading coefficient."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _erf(x: float) -> float:
+    """cephes erf for |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _ndtr(a: float) -> float:
+    """cephes ndtr: the standard normal CDF at a, from erf(x) for
+    |x| = |a| / sqrt 2 below 1/sqrt 2, else from half of cephes erfc(|x|):
+    1 - erf below 1, then exp(-x^2) times a rational function, or 0 where
+    exp(-x^2) underflows."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    if z < 1.0:
+        y = 0.5 * (1.0 - _erf(z))
+    elif z * z > _MAXLOG:
+        y = 0.0
+    else:
+        p, q = (_ERFC_P, _ERFC_Q) if z < 8.0 else (_ERFC_R, _ERFC_S)
+        y = 0.5 * (math.exp(-z * z) * _polevl(z, p) / _polevl(z, q))
+    return 1.0 - y if x > 0 else y
+
+
+def _igam_fac(x: float) -> float:
+    """cephes igam_fac at a = 15/2: x^a e^-x / Gamma(a), through logarithms
+    unless x is within 0.4 a of a, then through the Lanczos approximation."""
+    if abs(_A - x) > 0.4 * _A:
+        ax = _A * math.log(x) - x - _LGAM_A
+        return 0.0 if ax < -_MAXLOG else math.exp(ax)
+    return _LANCZOS_PREFACTOR * (math.exp(_A - x) * math.pow(x / _LANCZOS_FAC, _A))
+
+
+def _chi2_sf_15(stat: float) -> float:
+    """cephes chdtrc(15, stat) = igamc(15/2, stat/2) for finite stat >= 0:
+    one minus igam's power series below x = a, igamc's continued fraction
+    at or above it."""
+    x = stat / 2.0
+    if x == 0.0:
+        return 1.0
+    ax = _igam_fac(x)
+    if x < _A:
+        r, c, total = _A, 1.0, 1.0
+        while c > _MACHEP * total:
+            r += 1.0
+            c *= x / r
+            total += c
+        return 1.0 - total * ax / _A
+    y = 1.0 - _A
+    z = x + y + 1.0
+    c = 0.0
+    pkm2, qkm2 = 1.0, x
+    pkm1, qkm1 = x + 1.0, z * x
+    ans = pkm1 / qkm1
+    for _ in range(2000):
+        c += 1.0
+        y += 1.0
+        z += 2.0
+        yc = y * c
+        pk = pkm1 * z - pkm2 * yc
+        qk = qkm1 * z - qkm2 * yc
+        t = 1.0
+        if qk != 0.0:
+            r = pk / qk
+            t = abs((ans - r) / r)
+            ans = r
+        pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
+        if abs(pk) > 2.0**52:
+            pkm2, pkm1, qkm2, qkm1 = (v * 2.0**-52 for v in (pkm2, pkm1, qkm2, qkm1))
+        if t <= _MACHEP:
+            break
+    return ans * ax
+
+
+def _summarize(mean: complex, centered: np.ndarray, poly: TestPolynomial) -> SummaryStats:
+    """Summary of the LES samples, given their mean and the samples less it.
+
+    The KS distance takes the normal CDF from ``_ndtr``, a port of cephes
+    ndtr with scipy.special.ndtr's bits (checked by
+    test_harness.test_cephes_ports_equal_scipy_bit_for_bit), so the
+    statistics equal scipy.stats's to the bit."""
     pred = predicted_sigma2(poly)
     t = len(centered)
     variance_modulus = float((np.abs(centered) ** 2).sum() / (t - 1))
@@ -357,7 +475,9 @@ def _summarize(mean: complex, centered: np.ndarray, poly: TestPolynomial) -> Sum
         variance_modulus=variance_modulus,
         skewness=np.nan if flat else float((d2 * d).mean() / m2**1.5),
         excess_kurtosis=np.nan if flat else float((d2**2).mean() / m2**2.0 - 3),
-        ks_statistic=_ks_distance(real, lambda x: ndtr(x / scale)),
+        ks_statistic=_ks_distance(
+            real, lambda x: np.array([_ndtr(v) for v in (x / scale).tolist()])
+        ),
         predicted_sigma2=pred,
     )
 
@@ -396,15 +516,16 @@ def radial_ks_statistic(radii: np.ndarray) -> float:
 
 
 def angular_chisquare(angles: np.ndarray) -> tuple[float, float]:
-    """Chi-square uniformity test of arg(lambda) over 16 equal sectors."""
-    from scipy.special import chdtrc
-
+    """Chi-square uniformity test of arg(lambda) over 16 equal sectors: the
+    statistic and its upper tail on 15 degrees of freedom, from
+    ``_chi2_sf_15``, a port of cephes chdtrc with scipy.special.chdtrc's
+    bits (checked by test_harness.test_cephes_ports_equal_scipy_bit_for_bit)."""
     # fold exactly-pi angles into [-pi, pi) so no sample falls off the grid
     folded = np.mod(np.asarray(angles, dtype=np.float64) + np.pi, 2 * np.pi) - np.pi
     counts, _ = np.histogram(folded, bins=16, range=(-np.pi, np.pi))
     expected = len(folded) / 16
     stat = float(((counts - expected) ** 2 / expected).sum())
-    return stat, float(chdtrc(15, stat))
+    return stat, _chi2_sf_15(stat)
 
 
 @dataclass(frozen=True, eq=False)

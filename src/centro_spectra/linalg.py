@@ -100,8 +100,10 @@ def operator_norm_estimate(m, tol: float = 1e-6, max_iterations: int | None = No
     cap = max(10 * n, 4096) if max_iterations is None else int(max_iterations)
 
     # Deterministic pseudo-random start: avoids accidental orthogonality
-    # to the top singular vector while keeping the function pure.
-    rng = np.random.Generator(np.random.Philox(key=[0x9E3779B97F4A7C15, n]))
+    # to the top singular vector while keeping the function pure.  As a
+    # list, the key's first entry would become a float64 and lose bits.
+    key = np.array([0x9E3779B97F4A7C15, n], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
+from scipy.special import chdtrc, ndtr
 
 from centro_spectra import eigen, harness
 from centro_spectra.eigen import eigenvalues_dense
@@ -297,6 +298,36 @@ def test_statistics_equal_scipy_stats_bit_for_bit(kind, size, seed, coeffs):
     assert pvalue == sps.chi2.sf(chi2, 15)
     if kind == "constant":
         assert np.isnan(summary.skewness) and np.isnan(summary.excess_kurtosis)
+
+
+def _edges(*points):
+    """Each point and its two neighbouring floats."""
+    return [v for p in points for v in (np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf))]
+
+
+def test_cephes_ports_equal_scipy_bit_for_bit():
+    """The normal CDF and the 15-degree chi-square tail that the summaries
+    use have scipy.special's bits on a grid through every branch."""
+    # |x| / sqrt 2 below 1/sqrt 2 (erf), below 1 (1 - erf), below 8 and at
+    # or above it (the two erfc rational functions), past log(DBL_MAX) and
+    # into the underflow to 0, up to 1e300, in 0.01 steps, both signs
+    magnitudes = np.concatenate([np.linspace(0.0, 45.0, 4501), np.geomspace(45.0, 1e300, 60),
+                                 _edges(1.0, np.sqrt(2.0), 8.0 / np.sqrt(0.5))])
+    points = np.concatenate([magnitudes, -magnitudes, [np.inf, -np.inf]])
+    ours = np.array([harness._ndtr(v) for v in points.tolist()])
+    reference = ndtr(points)
+    assert ours.view(np.uint64).tolist() == reference.view(np.uint64).tolist()
+    assert {0.0, 0.5, 1.0} <= set(reference.tolist())
+
+    # 0; the power series below stat 15 and the continued fraction at or
+    # above it; igam_fac through logarithms and, for stat in 9..21, through
+    # the Lanczos form; out to 1e5, where the tail underflows to 0
+    stats = np.concatenate([np.linspace(0.0, 60.0, 6001), np.geomspace(1e-300, 1e5, 601),
+                            _edges(2.2, 9.0, 15.0, 21.0), [5e-324]])
+    ours = np.array([harness._chi2_sf_15(s) for s in stats.tolist()])
+    reference = chdtrc(15, stats)
+    assert ours.view(np.uint64).tolist() == reference.view(np.uint64).tolist()
+    assert {0.0, 1.0} <= set(reference.tolist())
 
 
 def test_circular_law_requires_large_n():

@@ -69,6 +69,20 @@ def test_operator_norm_dominates_spectral_radius():
         assert est >= rho - 1e-6 * est
 
 
+def test_operator_norm_start_keeps_every_key_bit(monkeypatch):
+    keys = []
+    philox = np.random.Philox
+
+    def recording_philox(*args, **kwargs):
+        bit_generator = philox(*args, **kwargs)
+        keys.append(bit_generator.state["state"]["key"].tolist())
+        return bit_generator
+
+    monkeypatch.setattr(np.random, "Philox", recording_philox)
+    operator_norm_estimate(np.eye(3))
+    assert keys == [[0x9E3779B97F4A7C15, 3]]
+
+
 def test_operator_norm_nonconvergence_reports_last_estimate():
     m = np.diag([1.0, 1.0 - 1e-14, 0.5])
     with pytest.raises(PowerIterationError) as err:
