@@ -30,7 +30,6 @@ __all__ = [
     "EigenSolverError",
     "eigenvalues_centrosymmetric",
     "eigenvalues_dense",
-    "match_spectra",
     "spectral_radius",
 ]
 
@@ -103,25 +102,3 @@ def spectral_radius(eigenvalues: np.ndarray) -> float:
     if len(eigenvalues) == 0:
         raise ValueError("spectral radius of an empty spectrum")
     return float(np.abs(eigenvalues).max())
-
-
-def match_spectra(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest pair distance in the matching of least total distance.
-
-    The pairing solves the assignment problem on the full |a_i - b_j|
-    matrix (scipy's linear_sum_assignment).  A greedy nearest-neighbor pass
-    can instead spend a close eigenvalue on the wrong partner: {0, 0.5}
-    against {0.3, -0.4} gives 0.9 greedily and 0.4 here.  O(n^2) memory,
-    O(n^3) time.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    va = np.asarray(a, dtype=np.complex128)
-    vb = np.asarray(b, dtype=np.complex128)
-    if len(va) != len(vb):
-        raise ValueError(f"multiset sizes differ: {len(va)} vs {len(vb)}")
-    if len(va) == 0:
-        return 0.0
-    d = np.abs(va[:, None] - vb[None, :])
-    rows, cols = linear_sum_assignment(d)
-    return float(d[rows, cols].max())

@@ -30,8 +30,8 @@ experiments, and centres each column of ``TrialBatch.values`` once, by its
 mean over the accepted trials; each of the two experiments reduces its own
 columns.  The normal CDF of ``_summarize`` and the chi-square tail of
 ``angular_chisquare`` are ports of the cephes routines scipy runs, with
-scipy's bits, so no command loads scipy; it is left to
-``eigen.match_spectra`` and to the tests, as their reference.
+scipy's bits, so no module of the package imports scipy; only the tests
+use it, as their reference.
 ``_run_trials`` maps ``_trial`` over a pool of forked worker processes, at
 most ``RunConfig.threads`` of them (all CPUs when unset) and never more
 than the CPUs, the trials or one per ``_WORK_PER_WORKER`` of n^3 * trials;

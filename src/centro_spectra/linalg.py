@@ -21,7 +21,6 @@ __all__ = [
     "PowerIterationError",
     "as_complex_matrix",
     "available_cpus",
-    "complex_from_pairs",
     "complex_to_pairs",
     "counter_identity",
     "operator_norm_estimate",
@@ -60,18 +59,6 @@ def complex_to_pairs(value) -> list:
     if isinstance(value, np.ndarray) and value.dtype.kind == "c":
         return np.stack((value.real, value.imag), axis=-1).tolist()
     raise TypeError(f"{type(value).__name__} is not a complex scalar or array")
-
-
-def complex_from_pairs(pairs) -> np.ndarray:
-    """Inverse of complex_to_pairs, bit for bit: the float64 pairs are
-    reinterpreted as complex128, so signed zeros and infinities survive
-    (re + 1j*im would not)."""
-    a = np.asarray(pairs, dtype=np.float64)
-    if a.size == 0:
-        a = a.reshape(0, 2)
-    if a.shape[-1:] != (2,):
-        raise ValueError(f"expected [re, im] pairs, got shape {a.shape}")
-    return np.ascontiguousarray(a).view(np.complex128)[..., 0]
 
 
 def counter_identity(s: int) -> np.ndarray:

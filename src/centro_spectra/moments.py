@@ -56,7 +56,6 @@ __all__ = [
     "MomentResult",
     "asymptotic_prediction",
     "exact_mixed_trace_moment",
-    "exact_single_trace_moment",
     "mc_trace_moment",
     "moment_result",
 ]
@@ -140,11 +139,6 @@ def exact_mixed_trace_moment(q: MomentQuery, method: str = "auto") -> Fraction:
     if method == "matchings" or (method == "auto" and over_budget):
         return _matching_exact(q.n, q.k)
     return _enumeration_exact(q.n, q.k)
-
-
-def exact_single_trace_moment(n: int, k: int) -> Fraction:
-    """E[Tr(M^k)]: the l = 0 query; exactly zero for the Gaussian law."""
-    return exact_mixed_trace_moment(MomentQuery(n=n, k=k, l=0))
 
 
 def _enumeration_exact(n: int, k: int) -> Fraction:

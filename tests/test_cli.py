@@ -32,11 +32,11 @@ from centro_spectra.harness import (
 from centro_spectra.linalg import (
     _openblas_thread_controls,
     available_cpus,
-    complex_from_pairs,
     complex_to_pairs,
     single_blas_thread,
 )
 from centro_spectra.sampling import SeedStream, sample_centrosymmetric
+from reference import complex_from_pairs
 
 
 def _run(argv, capsys):
@@ -488,6 +488,24 @@ def test_only_cli_imports_json():
             if "json" in names or (isinstance(node, ast.ImportFrom) and node.module == "json"):
                 importers.add(path.stem)
     assert importers == {"cli"}
+
+
+def test_no_module_imports_scipy():
+    """numpy is the one runtime dependency: no module imports scipy, not
+    even inside a function body that no command reaches."""
+    package = Path(__file__).resolve().parents[1] / "src" / "centro_spectra"
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.partition(".")[0] == "scipy" for m in modules):
+                importers.add(path.stem)
+    assert importers == set()
 
 
 def test_self_test_quick(capsys):

@@ -11,11 +11,11 @@ from centro_spectra.eigen import (
     EigenSolverError,
     eigenvalues_centrosymmetric,
     eigenvalues_dense,
-    match_spectra,
     spectral_radius,
 )
 from centro_spectra.linalg import operator_norm_estimate
 from centro_spectra.sampling import CentrosymmetricMatrix, SeedStream, sample_centrosymmetric
+from reference import match_spectra
 
 
 def _sorted(values):

@@ -10,12 +10,12 @@ from centro_spectra.linalg import (
     PowerIterationError,
     _openblas_thread_controls,
     as_complex_matrix,
-    complex_from_pairs,
     complex_to_pairs,
     counter_identity,
     operator_norm_estimate,
     single_blas_thread,
 )
+from reference import complex_from_pairs
 
 
 def test_counter_identity_small_cases():

@@ -17,11 +17,11 @@ from centro_spectra.moments import (
     _matching_exact,
     asymptotic_prediction,
     exact_mixed_trace_moment,
-    exact_single_trace_moment,
     mc_trace_moment,
     moment_result,
 )
 from centro_spectra.sampling import STANDARD_COMPLEX_GAUSSIAN, SeedStream, _sample_batch, _unfold
+from reference import exact_single_trace_moment
 
 
 class _ReferenceParityUnionFind:

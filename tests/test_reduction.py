@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centro_spectra.eigen import eigenvalues_centrosymmetric, eigenvalues_dense, match_spectra
+from centro_spectra.eigen import eigenvalues_centrosymmetric, eigenvalues_dense
 from centro_spectra.linalg import operator_norm_estimate
 from centro_spectra.reduction import (
     BlockReduction,
@@ -19,6 +19,7 @@ from centro_spectra.sampling import (
     _sample_batch,
     sample_centrosymmetric,
 )
+from reference import match_spectra
 
 SQ2 = np.sqrt(2.0)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centro_spectra.cli import parse_and_dispatch
-from centro_spectra.linalg import complex_from_pairs, counter_identity
+from centro_spectra.linalg import counter_identity
 from centro_spectra.reduction import block_reduce
 from centro_spectra.sampling import (
     STANDARD_COMPLEX_GAUSSIAN,
@@ -19,6 +19,7 @@ from centro_spectra.sampling import (
     moment_self_test,
     sample_centrosymmetric,
 )
+from reference import complex_from_pairs
 
 
 def _bits(a):
