@@ -24,7 +24,6 @@ import numpy as np
 
 from .eigen import eigenvalues_centrosymmetric, eigenvalues_dense
 from .harness import (
-    CircularLawReport,
     RunConfig,
     TestPolynomial,
     TrialBatch,
@@ -67,8 +66,11 @@ def _parse_contour(text: str) -> tuple:
         part = part.strip()
         if not part:
             continue
-        re_s, im_s = part.split(",")
-        points.append(complex(float(re_s), float(im_s)))
+        try:
+            re_s, im_s = part.split(",")
+            points.append(complex(float(re_s), float(im_s)))
+        except ValueError:
+            raise ValueError(f"contour point {part!r} is not of the form re,im") from None
     if not points:
         raise ValueError(f"no contour points in {text!r}")
     return tuple(points)
@@ -113,25 +115,23 @@ def _jsonl_path_for(out: str) -> str:
     return root + ".jsonl" if ext != ".jsonl" else root + ".trials.jsonl"
 
 
-def emit_plot_data(report: CircularLawReport | TrialBatch, path: str, bins: int = 30):
-    """CSV plot data, chosen by the report's type.
+def emit_plot_data(samples: tuple, path: str):
+    """The circular law's eigenvalue scatter as CSV: one re,im row per
+    eigenvalue of each sample, in trial order."""
+    with open(path, "w") as fh:
+        fh.write("re,im\n")
+        for sample in samples:
+            for z in sample.eigenvalues:
+                fh.write(_complex_key(z) + "\n")
 
-    A circular-law report gives its eigenvalue scatter, one re,im row per
-    eigenvalue.  A CLT batch gives a centered-LES histogram in two series
-    (raw L-centered and L-centered divided by sqrt(n)), centred by its
-    summaries' mean, with their Gaussian overlay parameters in the header
-    comments.
-    """
-    if isinstance(report, CircularLawReport):
-        with open(path, "w") as fh:
-            fh.write("re,im\n")
-            for sample in report.samples:
-                for z in sample.eigenvalues:
-                    fh.write(_complex_key(z) + "\n")
-        return
-    centered = (report.values[0] - report.summaries.mean).real
-    sigma2 = report.summaries.predicted_sigma2
-    n = report.config.n
+
+def _write_histogram(batch: TrialBatch, path: str, bins: int):
+    """A CLT batch's centered-LES histogram as CSV, in two series (raw
+    L-centered and L-centered divided by sqrt(n)), centred by its summaries'
+    mean, with their Gaussian overlay parameters in the header comments."""
+    centered = (batch.values[0] - batch.summaries.mean).real
+    sigma2 = batch.summaries.predicted_sigma2
+    n = batch.config.n
     series = [
         ("les_centered", centered, sigma2),
         ("les_centered_over_sqrt_n", centered / np.sqrt(n), sigma2 / n),
@@ -199,15 +199,14 @@ def _cmd_sample(args) -> int:
 
 def _cmd_reduce(args) -> int:
     cm = _sampled(args)
-    red = block_reduce(cm)
-    residual = verify_reduction(cm, red)
+    t1, t2 = block_reduce(cm)
     payload = {
         "n": cm.n,
         "seed": args.seed,
-        "parity": red.parity,
-        "t1": red.t1,
-        "t2": red.t2,
-        "residual": residual,
+        "parity": "odd" if cm.n % 2 else "even",
+        "t1": t1,
+        "t2": t2,
+        "residual": verify_reduction(cm, t1, t2),
     }
     _write_output(_encode(payload), args.out)
     return 0
@@ -225,9 +224,9 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_circular_law(args) -> int:
     config = RunConfig(n=args.n, trials=args.trials, master_seed=args.seed)
-    report = run_circular_law_experiment(config)
+    samples = run_circular_law_experiment(config)
     if args.format == "csv":
-        emit_plot_data(report, args.out)
+        emit_plot_data(samples, args.out)
         return 0
     payload = {
         "config": config_to_json_dict(config),
@@ -240,7 +239,7 @@ def _cmd_circular_law(args) -> int:
                 "outlier_fraction": s.outlier_fraction,
                 "spectral_radius": s.spectral_radius,
             }
-            for t, s in enumerate(report.samples)
+            for t, s in enumerate(samples)
         ],
     }
     _write_output(_encode(payload), args.out)
@@ -253,7 +252,7 @@ def _cmd_clt(args) -> int:
     config = _guarded_config(args, poly=TestPolynomial.from_string(args.poly))
     batch = run_clt_experiment(config)
     if args.format == "csv":
-        emit_plot_data(batch, args.out, bins=args.bins)
+        _write_histogram(batch, args.out, args.bins)
         return 0
     return _write_batch(batch, "summaries", asdict(batch.summaries), args.out)
 
@@ -312,7 +311,7 @@ def _cmd_self_test(args) -> int:
 
     for n in (8, 9):
         cm = sample_centrosymmetric(n, SeedStream(args.seed, n))
-        residual = verify_reduction(cm, block_reduce(cm))
+        residual = verify_reduction(cm, *block_reduce(cm))
         print(f"reduction residual n={n}: {residual:.2e}")
         if residual > 1e-12:
             failures.append(f"reduction n={n}")

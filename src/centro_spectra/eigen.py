@@ -86,14 +86,14 @@ def eigenvalues_centrosymmetric(cm: CentrosymmetricMatrix) -> np.ndarray:
     arguments on the caller's stack).
     """
     with single_blas_thread():
-        red = block_reduce(cm)
+        t1, t2 = block_reduce(cm)
         del cm
-        if red.t2.shape[0] < _HELPER_MIN_SIDE or available_cpus() < 2:
-            return np.concatenate([eigenvalues_dense(red.t1), eigenvalues_dense(red.t2)])
+        if t2.shape[0] < _HELPER_MIN_SIDE or available_cpus() < 2:
+            return np.concatenate([eigenvalues_dense(t1), eigenvalues_dense(t2)])
         from concurrent.futures import ThreadPoolExecutor  # loaded on use, not at import
         with ThreadPoolExecutor(1) as helper:
-            lam2 = helper.submit(eigenvalues_dense, red.t2)
-            lam1 = eigenvalues_dense(red.t1)
+            lam2 = helper.submit(eigenvalues_dense, t2)
+            lam1 = eigenvalues_dense(t1)
         return np.concatenate([lam1, lam2.result()])
 
 

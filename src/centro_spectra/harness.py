@@ -60,7 +60,6 @@ from .moments import _power_traces
 from .sampling import SeedStream, sample_centrosymmetric
 
 __all__ = [
-    "CircularLawReport",
     "CircularLawSample",
     "KernelPair",
     "RunConfig",
@@ -193,9 +192,11 @@ class RunConfig:
             raise ValueError(f"threads must be None or an int >= 1, got {self.threads!r}")
         points = tuple(complex(z) for z in self.contour_points)
         object.__setattr__(self, "contour_points", points)
-        for z in points:
+        for i, z in enumerate(points):
             if not (np.isfinite(z) and abs(z) > 1.2):
                 raise ValueError(f"contour point {z} must be finite with |z| > 1.2")
+            if z in points[:i]:  # 3+0j == 3-0j: one column under two keys
+                raise ValueError(f"contour point {z} repeats an earlier point")
 
 
 @dataclass(frozen=True)
@@ -540,11 +541,6 @@ class CircularLawSample:
     spectral_radius: float
 
 
-@dataclass(frozen=True)
-class CircularLawReport:
-    samples: tuple
-
-
 def _circular_law_sample(config: RunConfig, lam: np.ndarray) -> CircularLawSample:
     """Test a sample's eigenvalue cloud against the disc law."""
     radii = np.abs(lam)
@@ -559,15 +555,16 @@ def _circular_law_sample(config: RunConfig, lam: np.ndarray) -> CircularLawSampl
     )
 
 
-def run_circular_law_experiment(config: RunConfig) -> CircularLawReport:
-    """Empirical spectral distribution against the uniform disc law.
+def run_circular_law_experiment(config: RunConfig) -> tuple:
+    """Empirical spectral distribution against the uniform disc law: one
+    ``CircularLawSample`` per trial, in trial order.
 
     Uses config.trials samples (typically one); n must be large enough for
     the ESD to have converged to desk-scale tolerances.
     """
     if config.n < 200:
         raise ValueError("circular-law experiment needs n >= 200")
-    return CircularLawReport(samples=_run_trials(config, _circular_law_sample))
+    return _run_trials(config, _circular_law_sample)
 
 
 @dataclass(frozen=True)

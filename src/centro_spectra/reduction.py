@@ -18,49 +18,22 @@ the pairing that makes Q^T M Q exactly equal to diag(A+JC, A-JC).  The
 frequently quoted variant [[I, -J], [J, I]] is orthogonal too but produces
 J (A - JC) J in the lower block (same spectrum, different entries).
 
-Q itself is built for verification only: block_reduce reads the blocks
-straight off the half for any n >= 1 (at n = 1, T1 is the center entry and
-T2 is 0 by 0), and verify_reduction unfolds M, checks that it is exactly
+Q itself is built for verification only: block_reduce returns the pair
+(T1, T2) read off the half for any n >= 1 (at n = 1, T1 is the center entry
+and T2 is 0 by 0), and verify_reduction unfolds M, checks that it is exactly
 centrosymmetric and forms Q^T M Q as the independent check, for n >= 2.
-BlockReduction holds T1 and T2 alone; n and its parity come from their sizes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import counter_identity
 from .sampling import CentrosymmetricMatrix, is_centrosymmetric
 
-__all__ = ["BlockReduction", "block_reduce", "build_orthogonal_q", "split_blocks", "verify_reduction"]
+__all__ = ["block_reduce", "build_orthogonal_q", "split_blocks", "verify_reduction"]
 
 _SQRT_HALF = np.sqrt(0.5)
-
-
-@dataclass(frozen=True)
-class BlockReduction:
-    """Blocks T1, T2 with Q^T M Q = diag(T1, T2) for the orthogonal Q of n.
-
-    T1 is ceil(n/2) square, T2 is floor(n/2) square.
-    """
-
-    t1: np.ndarray
-    t2: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.t1.shape[0] + self.t2.shape[0]
-
-    @property
-    def parity(self) -> str:
-        return "odd" if self.n % 2 else "even"
-
-    @property
-    def q(self) -> np.ndarray:
-        """The dense n-by-n Q, built anew on each access."""
-        return build_orthogonal_q(self.n)
 
 
 def build_orthogonal_q(n: int) -> np.ndarray:
@@ -104,19 +77,19 @@ def split_blocks(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([top, bottom], axis=-2), a - bj
 
 
-def block_reduce(cm: CentrosymmetricMatrix) -> BlockReduction:
-    """Split a centrosymmetric matrix into its two spectral blocks.
+def block_reduce(cm: CentrosymmetricMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral blocks (T1, T2), ceil(n/2) and floor(n/2) square, with
+    Q^T M Q = diag(T1, T2) for the orthogonal Q of n.
 
-    The blocks are read straight off the stored top half by split_blocks in
+    They are read straight off the stored top half by split_blocks in
     O(n^2), without unfolding M or building Q; forming Q^T M Q explicitly is
     left to verify_reduction as the independent check.  Any n >= 1 works:
     at n = 1, T1 is the center entry and T2 is 0 by 0.
     """
-    t1, t2 = split_blocks(cm.half)
-    return BlockReduction(t1=t1, t2=t2)
+    return split_blocks(cm.half)
 
 
-def verify_reduction(cm: CentrosymmetricMatrix, red: BlockReduction) -> float:
+def verify_reduction(cm: CentrosymmetricMatrix, t1: np.ndarray, t2: np.ndarray) -> float:
     """Residual of the similarity: max |Q^T M Q - diag(T1, T2)|.
 
     Also checks Q^T Q - I; the returned value is the larger of the two
@@ -128,14 +101,14 @@ def verify_reduction(cm: CentrosymmetricMatrix, red: BlockReduction) -> float:
     if not is_centrosymmetric(m):
         raise ValueError("the unfolded matrix is not exactly centrosymmetric")
     n = m.shape[0]
-    s1 = red.t1.shape[0]
-    if s1 + red.t2.shape[0] != n:
+    s1 = t1.shape[0]
+    if s1 + t2.shape[0] != n:
         raise ValueError("reduction shapes are inconsistent with the matrix")
     q = build_orthogonal_q(n)
     similar = q.T @ m @ q
     block_diag = np.zeros_like(similar)
-    block_diag[:s1, :s1] = red.t1
-    block_diag[s1:, s1:] = red.t2
+    block_diag[:s1, :s1] = t1
+    block_diag[s1:, s1:] = t2
     residual = float(np.abs(similar - block_diag).max())
     orthogonality = float(np.abs(q.T @ q - np.eye(n)).max())
     return max(residual, orthogonality)

@@ -11,13 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centro_spectra import eigen, harness, reduction
 from centro_spectra.cli import (
+    _write_histogram,
     config_to_json_dict,
-    emit_plot_data,
     parse_and_dispatch,
     write_trial_jsonl,
 )
@@ -74,15 +74,16 @@ def test_nan_guard_values_are_validation_failures(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_reduce_n3_example(tmp_path, capsys):
-    path = tmp_path / "r.json"
-    code, _, _ = _run(["reduce", "--n", "3", "--seed", "7", "--out", str(path)], capsys)
-    assert code == 0
-    obj = json.loads(path.read_text())
-    assert len(obj["t1"]) == 2 and len(obj["t1"][0]) == 2
-    assert len(obj["t2"]) == 1 and len(obj["t2"][0]) == 1
-    assert obj["residual"] <= 1e-12
-    assert obj["parity"] == "odd"
+def test_reduce_examples(tmp_path, capsys):
+    for n, side1, side2, parity in ((3, 2, 1, "odd"), (4, 2, 2, "even")):
+        path = tmp_path / f"r{n}.json"
+        code, _, _ = _run(["reduce", "--n", str(n), "--seed", "7", "--out", str(path)], capsys)
+        assert code == 0
+        obj = json.loads(path.read_text())
+        assert len(obj["t1"]) == side1 and len(obj["t1"][0]) == side1
+        assert len(obj["t2"]) == side2 and len(obj["t2"][0]) == side2
+        assert obj["residual"] <= 1e-12
+        assert obj["parity"] == parity
 
 
 def test_spectrum_methods_agree(tmp_path, capsys):
@@ -250,11 +251,11 @@ def test_spectrum_on_the_helper_thread_gives_the_serial_bits(tmp_path):
         )
         outputs.add(out.read_bytes())
     assert len(outputs) == 1
-    red = reduction.block_reduce(sample_centrosymmetric(1025, SeedStream(3, 0)))
+    t1, t2 = reduction.block_reduce(sample_centrosymmetric(1025, SeedStream(3, 0)))
     with single_blas_thread():
-        serial = np.concatenate([eigen.eigenvalues_dense(red.t1), eigen.eigenvalues_dense(red.t2)])
+        serial = np.concatenate([eigen.eigenvalues_dense(t1), eigen.eigenvalues_dense(t2)])
     lam = complex_from_pairs(json.loads(outputs.pop())["eigenvalues"])
-    assert red.t2.shape == (512, 512) and lam.tobytes() == serial.tobytes()
+    assert t2.shape == (512, 512) and lam.tobytes() == serial.tobytes()
 
 
 @pytest.mark.skipif(not _openblas_thread_controls(), reason="no OpenBLAS thread-count entry point")
@@ -308,7 +309,7 @@ _BAD_POLY = st.one_of(
 _BAD_CONTOUR = st.one_of(
     st.text(alphabet="ab ,;"),
     st.sampled_from(["2", "2,0,1", "2;0", "2,0;x", "nan,0", "0,inf", "1e999,0", "0.5,0",
-                     "1.2,0", ";;"]),
+                     "1.2,0", ";;", "3,0;3,0", "3,0;3,-0"]),
 )
 
 
@@ -333,6 +334,7 @@ def _malformed_argv(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(argv=_malformed_argv())
+@example(argv=["resolvent-cov", "--n", "8", "--trials", "4", "--seed", "1", "--contour", "3,0;3,-0"])
 def test_malformed_inputs_are_validation_failures_and_write_nothing(argv):
     with tempfile.TemporaryDirectory() as workdir:
         out = Path(workdir) / "out.json"
@@ -356,7 +358,7 @@ def test_histogram_csv_overlay(tmp_path):
     config = RunConfig(n=32, trials=30, master_seed=1, poly=TestPolynomial(coeffs=(1.0,)))
     batch = run_clt_experiment(config)
     path = tmp_path / "hist.csv"
-    emit_plot_data(batch, str(path), bins=12)
+    _write_histogram(batch, str(path), bins=12)
     text = path.read_text()
     assert "overlay_sigma2=2.0" in text
     lines = [l for l in text.splitlines() if l.startswith("les_centered,")]

@@ -188,7 +188,7 @@ def test_guard_rejection_rate_is_tiny_at_default_rho():
 def _result_bytes(config: RunConfig) -> bytes:
     if config.poly is not None:
         return run_clt_experiment(config).values[0].tobytes()
-    samples = run_circular_law_experiment(config).samples
+    samples = run_circular_law_experiment(config)
     return b"".join(s.eigenvalues.tobytes() for s in samples)
 
 
@@ -336,8 +336,7 @@ def test_circular_law_requires_large_n():
 
 
 def test_circular_law_small_scale():
-    report = run_circular_law_experiment(RunConfig(n=200, trials=1, master_seed=2))
-    sample = report.samples[0]
+    sample = run_circular_law_experiment(RunConfig(n=200, trials=1, master_seed=2))[0]
     assert len(sample.eigenvalues) == 200
     assert (sample == replace(sample)) is False  # identity: never compares the arrays
     assert sample.radial_ks <= 0.15

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from centro_spectra.eigen import eigenvalues_centrosymmetric, eigenvalues_dense
 from centro_spectra.linalg import operator_norm_estimate
 from centro_spectra.reduction import (
-    BlockReduction,
     block_reduce,
     build_orthogonal_q,
     split_blocks,
@@ -46,60 +45,57 @@ def test_q_rejects_small_n():
 
 def test_block_reduce_2x2_scalars():
     a, b = 0.3 - 0.4j, 1.25 + 2j
-    red = block_reduce(CentrosymmetricMatrix.from_matrix([[a, b], [b, a]]))
-    assert red.t1.shape == (1, 1) and red.t2.shape == (1, 1)
-    assert red.t1[0, 0] == a + b
-    assert red.t2[0, 0] == a - b
+    t1, t2 = block_reduce(CentrosymmetricMatrix.from_matrix([[a, b], [b, a]]))
+    assert t1.shape == (1, 1) and t2.shape == (1, 1)
+    assert t1[0, 0] == a + b
+    assert t2[0, 0] == a - b
 
 
 def test_block_reduce_identity_4x4():
-    red = block_reduce(CentrosymmetricMatrix.from_matrix(np.eye(4)))
-    assert np.array_equal(red.t1, np.eye(2, dtype=complex))
-    assert np.array_equal(red.t2, np.eye(2, dtype=complex))
+    t1, t2 = block_reduce(CentrosymmetricMatrix.from_matrix(np.eye(4)))
+    assert np.array_equal(t1, np.eye(2, dtype=complex))
+    assert np.array_equal(t2, np.eye(2, dtype=complex))
 
 
 def test_block_reduce_residual_5x5():
     cm = sample_centrosymmetric(5, stream=SeedStream(7, 0))
-    assert verify_reduction(cm, block_reduce(cm)) <= 1e-12
+    assert verify_reduction(cm, *block_reduce(cm)) <= 1e-12
 
 
 def test_verify_reduction_identity_is_exact():
     cm = CentrosymmetricMatrix.from_matrix(np.eye(4))
-    assert verify_reduction(cm, block_reduce(cm)) <= 1e-15
+    assert verify_reduction(cm, *block_reduce(cm)) <= 1e-15
 
 
 def test_block_sizes_sum_to_n():
     for n in range(2, 10):
-        red = block_reduce(sample_centrosymmetric(n, stream=SeedStream(2, n)))
-        assert red.t1.shape[0] + red.t2.shape[0] == n
-        assert red.t1.shape[0] == (n + 1) // 2
-        assert red.parity == ("even" if n % 2 == 0 else "odd")
+        t1, t2 = block_reduce(sample_centrosymmetric(n, stream=SeedStream(2, n)))
+        assert t1.shape[0] + t2.shape[0] == n
+        assert t1.shape[0] == (n + 1) // 2
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 40), stream=st.integers(0, 2**32))
 def test_reduction_residual_property(n, stream):
     cm = sample_centrosymmetric(n, stream=SeedStream(17, stream))
-    red = block_reduce(cm)
-    assert verify_reduction(cm, red) <= 1e-12
-    assert np.abs(red.q.T @ red.q - np.eye(n)).max() <= 1e-12
+    assert verify_reduction(cm, *block_reduce(cm)) <= 1e-12
+    q = build_orthogonal_q(n)
+    assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-12
 
 
 def test_verify_reduction_flags_corruption():
     cm = sample_centrosymmetric(6, stream=SeedStream(5, 1))
-    red = block_reduce(cm)
-    t1 = red.t1.copy()
+    t1, t2 = block_reduce(cm)
+    t1 = t1.copy()
     t1[0, 0] += 1.0
-    corrupted = BlockReduction(t1=t1, t2=red.t2)
-    assert verify_reduction(cm, corrupted) >= 0.4
+    assert verify_reduction(cm, t1, t2) >= 0.4
 
 
 def test_verify_reduction_shape_mismatch():
     cm = sample_centrosymmetric(6, stream=SeedStream(5, 2))
-    red = block_reduce(cm)
-    bad = BlockReduction(t1=red.t1[:2, :2], t2=red.t2)
+    t1, t2 = block_reduce(cm)
     with pytest.raises(ValueError):
-        verify_reduction(cm, bad)
+        verify_reduction(cm, t1[:2, :2], t2)
 
 
 def test_verify_reduction_rejects_asymmetric_matrix():
@@ -108,7 +104,7 @@ def test_verify_reduction_rejects_asymmetric_matrix():
     half[2, 0] += 1e-3  # the middle row is no longer its own mirror
     object.__setattr__(cm, "half", half)  # past the constructor's check
     with pytest.raises(ValueError):
-        verify_reduction(cm, block_reduce(cm))
+        verify_reduction(cm, *block_reduce(cm))
 
 
 def test_eigenvalue_union_property():
@@ -125,9 +121,9 @@ def test_block_entry_statistics():
     n, trials = 8, 10**4
     entries = []
     for t in range(trials):
-        red = block_reduce(sample_centrosymmetric(n, stream=SeedStream(23, t)))
-        entries.append(red.t1.ravel())
-        entries.append(red.t2.ravel())
+        t1, t2 = block_reduce(sample_centrosymmetric(n, stream=SeedStream(23, t)))
+        entries.append(t1.ravel())
+        entries.append(t2.ravel())
     values = np.concatenate(entries)
     count = len(values)
     mean_se = np.sqrt((np.abs(values) ** 2).mean() / count)
@@ -142,6 +138,6 @@ def test_split_blocks_on_a_stack_equals_block_reduce_per_matrix():
         halves = _sample_batch(n, STANDARD_COMPLEX_GAUSSIAN, SeedStream(31, n), 3)
         t1, t2 = split_blocks(halves)
         for i, half in enumerate(halves):
-            red = block_reduce(CentrosymmetricMatrix(half))
-            assert np.array_equal(t1[i].view(np.int64), red.t1.view(np.int64))
-            assert np.array_equal(t2[i].view(np.int64), red.t2.view(np.int64))
+            b1, b2 = block_reduce(CentrosymmetricMatrix(half))
+            assert np.array_equal(t1[i].view(np.int64), b1.view(np.int64))
+            assert np.array_equal(t2[i].view(np.int64), b2.view(np.int64))
