@@ -99,13 +99,13 @@ def write_trial_jsonl(batch: TrialBatch, path: str):
     lead = int(batch.config.poly is not None)
     keys = [_complex_key(z) for z in batch.config.contour_points]
     with open(path, "w") as fh:
-        for t, r in enumerate(batch.records):
+        for t, (radius, stats) in enumerate(batch.records):
             record = {
                 "trial_index": t,
                 "seed": t,
-                "les": r.values[0] if lead and r.accepted else None,
-                "spectral_radius": r.spectral_radius,
-                "resolvent": dict(zip(keys, r.values[lead:])),
+                "les": stats[0] if lead and stats else None,
+                "spectral_radius": radius,
+                "resolvent": dict(zip(keys, stats[lead:])),
             }
             fh.write(_encode(record) + "\n")
 
@@ -259,29 +259,17 @@ def _cmd_clt(args) -> int:
 
 def _cmd_moments(args) -> int:
     query = MomentQuery(n=args.n, k=args.k, l=args.l)
-    result = moment_result(
-        query,
-        mc_trials=args.mc_trials,
-        stream=SeedStream(args.seed, 0),
-    )
-    exact = result.exact_value
+    exact, mc, prediction = moment_result(query, args.mc_trials, SeedStream(args.seed, 0))
     payload = {
         "n": args.n,
         "k": args.k,
         "l": args.l,
         "exact": [exact.numerator, exact.denominator],
-        "mc": None if result.mc_estimate is None else asdict(result.mc_estimate),
-        "prediction": result.asymptotic_prediction,
+        "mc": None if mc is None else asdict(mc),
+        "prediction": prediction,
     }
-    text = _encode(payload)
-    summary = f"exact {exact.numerator}/{exact.denominator}"
-    if args.out is None:
-        # stdout carries the JSON alone, so the summary goes to stderr
-        print(summary, file=sys.stderr)
-        print(text)
-    else:
-        print(summary)
-        _write_output(text, args.out)
+    print(f"exact {exact.numerator}/{exact.denominator}", file=sys.stderr)
+    _write_output(_encode(payload), args.out)
     return 0
 
 

@@ -21,10 +21,10 @@ spectral radius exceeds the norm guard ``rho`` are rejected and counted,
 never silently dropped.
 
 The statistics are plain functions of a spectrum: ``_circular_law_sample``,
-or for the CLT and the kernel ``_trial_record``, whose record holds the
-radius, the accepted flag and one vector of statistics (L(P) when ``poly``
-is set, then Tr R_z per contour point).  Records carry no index: a record's
-position in the tuple the engine returns is its trial index.
+or for the CLT and the kernel ``_trial_record``, whose record is the pair
+(radius, statistics): L(P) when ``poly`` is set, then Tr R_z per contour
+point, or () for a trial the norm guard rejects.  Records carry no index:
+a record's position in the tuple the engine returns is its trial index.
 ``_centered_trials`` runs those trials, needs two accepted trials in both
 experiments, and centres each column of ``TrialBatch.values`` once, by its
 mean over the accepted trials; each of the two experiments reduces its own
@@ -66,7 +66,6 @@ __all__ = [
     "SummaryStats",
     "TestPolynomial",
     "TrialBatch",
-    "TrialRecord",
     "angular_chisquare",
     "covariance_kernel",
     "les",
@@ -220,14 +219,11 @@ class SummaryStats:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    spectral_radius: float
-    accepted: bool
-    values: tuple = ()  # L(P) when poly is set, then Tr R_z per contour point
-
-
-@dataclass(frozen=True)
 class TrialBatch:
+    """Each record is (spectral radius, statistics).  Every experiment has
+    a column, so a trial's statistics are () exactly when the norm guard
+    rejected it."""
+
     config: RunConfig
     records: tuple
     summaries: SummaryStats | None = None
@@ -235,21 +231,21 @@ class TrialBatch:
 
     @property
     def guard_rejections(self) -> int:
-        return sum(1 for r in self.records if not r.accepted)
+        return sum(1 for _, stats in self.records if not stats)
 
     @property
     def values(self) -> np.ndarray:
         """The accepted trials' statistics: one row per column of the
-        records' ``values`` and one entry per trial, each row contiguous."""
+        records' statistics and one entry per trial, each row contiguous."""
         columns = (self.config.poly is not None) + len(self.config.contour_points)
-        accepted = [r.values for r in self.records if r.accepted]
+        accepted = [stats for _, stats in self.records if stats]
         return np.array(accepted, dtype=np.complex128).reshape(-1, columns).T.copy()
 
 
-def _trial_record(config: RunConfig, lam: np.ndarray) -> TrialRecord:
-    """Apply the norm guard to a trial's spectrum and, when it passes,
-    evaluate L(P) when ``config.poly`` is set, then Tr R_z at every contour
-    point in config order."""
+def _trial_record(config: RunConfig, lam: np.ndarray) -> tuple[float, tuple]:
+    """(spectral radius, statistics) of a trial's spectrum: when the norm
+    guard passes, the statistics are L(P) when ``config.poly`` is set, then
+    Tr R_z at every contour point in config order; when it rejects, ()."""
     radius = spectral_radius(lam)
     contour = config.contour_points
     accepted = radius <= config.rho
@@ -259,10 +255,10 @@ def _trial_record(config: RunConfig, lam: np.ndarray) -> TrialRecord:
         min_abs_z = min(abs(z) for z in contour)
         accepted = 1.2 * radius <= min_abs_z and min_abs_z - radius >= config.tau
     if not accepted:
-        return TrialRecord(radius, False)
+        return radius, ()
     head = () if config.poly is None else (les(lam, config.poly),)
     traces = tuple(resolvent_trace(lam, z) for z in contour)
-    return TrialRecord(radius, True, head + traces)
+    return radius, head + traces
 
 
 # n^3 * trials that one more worker process must have to earn its fork: on

@@ -53,7 +53,6 @@ __all__ = [
     "BudgetExceededError",
     "McEstimate",
     "MomentQuery",
-    "MomentResult",
     "asymptotic_prediction",
     "exact_mixed_trace_moment",
     "mc_trace_moment",
@@ -91,13 +90,6 @@ class McEstimate:
     mean: complex
     se: float
     trials: int
-
-
-@dataclass(frozen=True)
-class MomentResult:
-    exact_value: Fraction
-    mc_estimate: McEstimate | None
-    asymptotic_prediction: float
 
 
 def asymptotic_prediction(k: int, l: int) -> float:
@@ -228,6 +220,11 @@ def _matching_exact(n: int, k: int) -> Fraction:
     return Fraction(total, n**k)
 
 
+def _check_mc_trials(trials: int):
+    if trials < 10**3:
+        raise ValueError(f"need at least 10^3 trials, got {trials}")
+
+
 def mc_trace_moment(q: MomentQuery, trials: int, stream: SeedStream) -> McEstimate:
     """Monte Carlo estimate of E[Tr(M^k) Tr(conj(M)^l)] with standard error.
 
@@ -238,8 +235,7 @@ def mc_trace_moment(q: MomentQuery, trials: int, stream: SeedStream) -> McEstima
     added in chunk order, so the estimate is the same to the bit whatever
     the pool size.
     """
-    if trials < 10**3:
-        raise ValueError(f"need at least 10^3 trials, got {trials}")
+    _check_mc_trials(trials)
     from concurrent.futures import ThreadPoolExecutor  # loaded on use, not at import
     counts = [min(_MC_CHUNK, trials - start) for start in range(0, trials, _MC_CHUNK)]
     with ThreadPoolExecutor(min(available_cpus(), len(counts))) as pool:
@@ -284,14 +280,15 @@ def _power_traces(t: np.ndarray, degrees: set[int]) -> dict[int, np.ndarray]:
 
 
 def moment_result(
-    q: MomentQuery,
-    mc_trials: int | None = None,
-    stream: SeedStream | None = None,
-) -> MomentResult:
-    """Bundle the exact value, optional MC cross-check and the n->inf limit."""
-    mc = None
-    if mc_trials is not None:  # first, so a bad count fails before the exact oracle runs
-        mc = mc_trace_moment(q, mc_trials, stream if stream is not None else SeedStream(0, 0))
+    q: MomentQuery, mc_trials: int | None = None, stream: SeedStream = SeedStream(0, 0)
+) -> tuple[Fraction, McEstimate | None, float]:
+    """(exact value, optional MC cross-check, n -> inf limit) of a query.
+
+    A bad trial count fails before the exact oracle runs, and a query over
+    the oracle's budget fails before the Monte Carlo runs.
+    """
+    if mc_trials is not None:
+        _check_mc_trials(mc_trials)
     exact = exact_mixed_trace_moment(q)
-    prediction = asymptotic_prediction(q.k, q.l) if q.l >= 1 else 0.0
-    return MomentResult(exact_value=exact, mc_estimate=mc, asymptotic_prediction=prediction)
+    mc = None if mc_trials is None else mc_trace_moment(q, mc_trials, stream)
+    return exact, mc, (asymptotic_prediction(q.k, q.l) if q.l >= 1 else 0.0)

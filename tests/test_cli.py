@@ -104,11 +104,12 @@ def test_spectrum_methods_agree(tmp_path, capsys):
 
 def test_moments_exact_output(tmp_path, capsys):
     path = tmp_path / "mom.json"
-    code, out, _ = _run(
+    code, out, err = _run(
         ["moments", "--n", "4", "--k", "1", "--l", "1", "--out", str(path)], capsys
     )
     assert code == 0
-    assert "exact 2/1" in out
+    assert out == ""
+    assert "exact 2/1" in err
     obj = json.loads(path.read_text())
     assert obj["exact"] == [2, 1]
     assert obj["prediction"] == 2.0
@@ -371,12 +372,14 @@ def test_histogram_csv_overlay(tmp_path):
     assert float(last[2]) == pytest.approx(values.max())
 
 
-def test_jsonl_splits_the_statistics_vector_by_column(tmp_path):
+@pytest.mark.parametrize("n", [63, 64])
+def test_jsonl_splits_the_statistics_vector_by_column(tmp_path, n):
     """With a polynomial and contour points, each accepted record's les and
-    resolvent are L(P) and Tr R_z of that trial's own spectrum."""
+    resolvent are L(P) and Tr R_z of that trial's own spectrum, and each
+    rejected record, whose statistics are empty, has neither."""
     poly = TestPolynomial(coeffs=(0.0, 1.0))
     points = (1.7 + 0j, -2.0 + 0.5j)
-    config = RunConfig(n=64, trials=40, master_seed=2, poly=poly, contour_points=points)
+    config = RunConfig(n=n, trials=40, master_seed=2, poly=poly, contour_points=points)
     for run in (run_clt_experiment, run_covariance_kernel_experiment):
         batch = run(config)
         assert batch.values.shape == (3, config.trials - batch.guard_rejections)
@@ -385,10 +388,10 @@ def test_jsonl_splits_the_statistics_vector_by_column(tmp_path):
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert 0 < batch.guard_rejections < config.trials
         for t, record in enumerate(records):
-            if not batch.records[t].accepted:
+            if not batch.records[t][1]:
                 assert record["les"] is None and record["resolvent"] == {}
                 continue
-            lam = eigen.eigenvalues_centrosymmetric(sample_centrosymmetric(64, SeedStream(2, t)))
+            lam = eigen.eigenvalues_centrosymmetric(sample_centrosymmetric(n, SeedStream(2, t)))
             assert complex_from_pairs([record["les"]])[0] == les(lam, poly)
             assert list(record["resolvent"]) == ["1.7,0.0", "-2.0,0.5"]
             got = complex_from_pairs(list(record["resolvent"].values()))

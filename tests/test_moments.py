@@ -125,14 +125,15 @@ def test_single_chain_vanishes():
 
 def test_enumeration_agrees_with_matchings():
     # two independent exact routes over every admitted (n <= 12, k <= 4),
-    # the largest admitted n at k = 3, 4, 5, 6 and an odd n at k = 5, 6:
+    # the largest admitted n at k = 3, 4, 5, 6 and every smaller n at k = 5, 6:
     # enumeration walks M's mirror pairing, matchings walk the blocks T1, T2
     grid = [(n, k) for k in range(1, 5) for n in range(1, 13)
             if MomentQuery(n, k, k).tuple_count <= ENUMERATION_BUDGET]
     edges = [(21, 3), (10, 4), (6, 5), (4, 6)]
     for n, k in edges:
         assert MomentQuery(n + 1, k, k).tuple_count > ENUMERATION_BUDGET
-    for n, k in grid + edges + [(5, 5), (3, 6)]:
+    below_edges = [(n, 5) for n in range(1, 6)] + [(n, 6) for n in range(1, 4)]
+    for n, k in grid + edges + below_edges:
         q = MomentQuery(n, k, k)
         enum = exact_mixed_trace_moment(q, method="enumeration")
         pairs = exact_mixed_trace_moment(q, method="matchings")
@@ -287,6 +288,15 @@ def test_bad_mc_trials_fail_before_the_exact_oracle(monkeypatch):
             moment_result(MomentQuery(11, 6, 6), mc_trials=trials)
 
 
+def test_over_budget_query_fails_before_the_monte_carlo(monkeypatch):
+    def mc_must_not_run(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the exact oracle's budget was checked")
+
+    monkeypatch.setattr(moments, "mc_trace_moment", mc_must_not_run)
+    with pytest.raises(BudgetExceededError):
+        moment_result(MomentQuery(100, 7, 7), mc_trials=1000)
+
+
 def test_mc_is_reproducible():
     q = MomentQuery(5, 2, 2)
     a = mc_trace_moment(q, 10**3, SeedStream(3, 0))
@@ -351,10 +361,10 @@ def test_mc_does_not_depend_on_the_pool_size(monkeypatch, cpus):
 
 
 def test_moment_result_bundle():
-    result = moment_result(MomentQuery(4, 1, 1), mc_trials=10**3, stream=SeedStream(0, 0))
-    assert result.exact_value == Fraction(2)
-    assert result.asymptotic_prediction == 2.0
-    assert result.mc_estimate is not None
-    result = moment_result(MomentQuery(4, 2, 0))
-    assert result.exact_value == 0
-    assert result.mc_estimate is None
+    exact, mc, prediction = moment_result(MomentQuery(4, 1, 1), mc_trials=10**3)
+    assert exact == Fraction(2)
+    assert prediction == 2.0
+    assert mc == mc_trace_moment(MomentQuery(4, 1, 1), 10**3, SeedStream(0, 0))
+    exact, mc, prediction = moment_result(MomentQuery(4, 2, 0))
+    assert exact == 0
+    assert mc is None
