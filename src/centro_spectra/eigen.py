@@ -54,8 +54,6 @@ def eigenvalues_dense(m) -> np.ndarray:
     """
     m = as_complex_matrix(m)
     n = m.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.complex128)
     try:
         lam = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:

@@ -57,7 +57,7 @@ import numpy as np
 from .eigen import eigenvalues_centrosymmetric, spectral_radius
 from .linalg import as_complex_matrix, available_cpus, single_blas_thread
 from .moments import _power_traces
-from .sampling import SeedStream, sample_centrosymmetric
+from .sampling import SeedStream, _check_int, sample_centrosymmetric
 
 __all__ = [
     "CircularLawSample",
@@ -177,18 +177,15 @@ class RunConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+        _check_int("n", self.n, 1)
+        _check_int("trials", self.trials, 1)
+        _check_int("master_seed", self.master_seed, 0, 2**64)
         if not self.rho > 0:  # NaN fails every comparison
             raise ValueError(f"rho must be positive, got {self.rho!r}")
         if not self.tau >= 0:
             raise ValueError(f"tau must be non-negative, got {self.tau!r}")
-        if self.threads is not None and (type(self.threads) is not int or self.threads < 1):
-            raise ValueError(f"threads must be None or an int >= 1, got {self.threads!r}")
+        if self.threads is not None:
+            _check_int("threads", self.threads, 1)
         points = tuple(complex(z) for z in self.contour_points)
         object.__setattr__(self, "contour_points", points)
         for i, z in enumerate(points):

@@ -64,10 +64,9 @@ def complex_to_pairs(value) -> list:
 def counter_identity(s: int) -> np.ndarray:
     """The s-by-s exchange matrix J: ones on the anti-diagonal.
 
-    J is symmetric and involutive (J = J^T, J @ J = I), exactly.
+    J is symmetric and involutive (J = J^T, J @ J = I), exactly; s = 0
+    gives the 0-by-0 J, and a negative s fails in numpy.
     """
-    if s < 1:
-        raise ValueError(f"size must be >= 1, got {s}")
     return np.fliplr(np.eye(s, dtype=np.complex128))
 
 

@@ -18,10 +18,10 @@ the pairing that makes Q^T M Q exactly equal to diag(A+JC, A-JC).  The
 frequently quoted variant [[I, -J], [J, I]] is orthogonal too but produces
 J (A - JC) J in the lower block (same spectrum, different entries).
 
-Q itself is built for verification only: block_reduce returns the pair
-(T1, T2) read off the half for any n >= 1 (at n = 1, T1 is the center entry
-and T2 is 0 by 0), and verify_reduction unfolds M, checks that it is exactly
-centrosymmetric and forms Q^T M Q as the independent check, for n >= 2.
+Q itself is built for verification only.  For any n >= 1, block_reduce
+returns the pair (T1, T2) read off the half (at n = 1, T1 is the center
+entry and T2 is 0 by 0), and verify_reduction unfolds M, checks that it is
+exactly centrosymmetric and forms Q^T M Q as the independent check.
 """
 
 from __future__ import annotations
@@ -37,21 +37,15 @@ _SQRT_HALF = np.sqrt(0.5)
 
 
 def build_orthogonal_q(n: int) -> np.ndarray:
-    """The n-by-n real orthogonal similarity that splits the blocks.
-
-    Even n=2s:  sqrt(1/2) [[I, -I], [J, J]].
-    Odd n=2s+1: sqrt(1/2) [[I, 0, -I], [0, sqrt(2), 0], [J, 0, J]]
-    (so the center element is 1).
+    """The n-by-n real orthogonal similarity that splits the blocks, for any n >= 1:
+    sqrt(1/2) [[I, 0, -I], [0, sqrt(2), 0], [J, 0, J]] with s-by-s I and J, s = n // 2.
+    The middle row and column exist for odd n only; at even n they have zero width.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    s = n // 2
+    s, m = divmod(n, 2)
     i = np.eye(s, dtype=np.complex128)
     j = counter_identity(s)
-    if n % 2 == 0:
-        return _SQRT_HALF * np.block([[i, -i], [j, j]])
-    z = np.zeros((s, 1), dtype=np.complex128)
-    mid = np.array([[np.sqrt(2.0)]], dtype=np.complex128)
+    z = np.zeros((s, m), dtype=np.complex128)
+    mid = np.full((m, m), np.sqrt(2.0), dtype=np.complex128)
     return _SQRT_HALF * np.block([[i, z, -i], [z.T, mid, z.T], [j, z, j]])
 
 

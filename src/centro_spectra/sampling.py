@@ -39,6 +39,13 @@ __all__ = [
 _MAX_UINT64 = 2**64
 
 
+def _check_int(name: str, value, low: int, high: float = float("inf")) -> None:
+    """Raise ValueError unless value is an int in [low, high); bools, floats and numpy
+    integers are not."""
+    if type(value) is not int or not low <= value < high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+
+
 @dataclass(frozen=True)
 class EntryDistribution:
     """Law of the raw (unscaled) entries.
@@ -75,9 +82,7 @@ class SeedStream:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_index"):
-            v = getattr(self, name)
-            if not 0 <= int(v) < _MAX_UINT64:
-                raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
+            _check_int(name, getattr(self, name), 0, _MAX_UINT64)
 
     def generator(self) -> np.random.Generator:
         # as a list, a key entry >= 2^63 would become a float64 and lose bits

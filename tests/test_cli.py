@@ -75,13 +75,13 @@ def test_nan_guard_values_are_validation_failures(tmp_path, capsys):
 
 
 def test_reduce_examples(tmp_path, capsys):
-    for n, side1, side2, parity in ((3, 2, 1, "odd"), (4, 2, 2, "even")):
+    for n, side1, side2, parity in ((1, 1, 0, "odd"), (3, 2, 1, "odd"), (4, 2, 2, "even")):
         path = tmp_path / f"r{n}.json"
         code, _, _ = _run(["reduce", "--n", str(n), "--seed", "7", "--out", str(path)], capsys)
         assert code == 0
         obj = json.loads(path.read_text())
-        assert len(obj["t1"]) == side1 and len(obj["t1"][0]) == side1
-        assert len(obj["t2"]) == side2 and len(obj["t2"][0]) == side2
+        for block, side in ((obj["t1"], side1), (obj["t2"], side2)):
+            assert len(block) == side and all(len(row) == side for row in block)
         assert obj["residual"] <= 1e-12
         assert obj["parity"] == parity
 

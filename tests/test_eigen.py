@@ -28,6 +28,12 @@ def test_diagonal_matrix():
     assert np.abs(_sorted(lam) - _sorted([1.0, 2.0j, -3.0])).max() <= 1e-12
 
 
+def test_empty_matrix_has_no_eigenvalues():
+    # no branch of its own: zgeev, the norm and both trace identities take 0 by 0
+    lam = eigenvalues_dense(np.empty((0, 0)))
+    assert lam.dtype == np.complex128 and lam.shape == (0,)
+
+
 def test_exchange_matrix():
     lam = eigenvalues_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.abs(_sorted(lam) - _sorted([1.0, -1.0])).max() <= 1e-12

@@ -34,6 +34,7 @@ from centro_spectra.harness import (
     run_covariance_kernel_experiment,
 )
 from centro_spectra.linalg import _openblas_thread_controls, available_cpus
+from centro_spectra.moments import MomentQuery
 from centro_spectra.sampling import SeedStream, sample_centrosymmetric
 
 P_LINEAR = TestPolynomial(coeffs=(1.0,))
@@ -151,6 +152,20 @@ def test_run_config_validation():
     for threads in (0, "2", 2.0, True):
         with pytest.raises(ValueError):
             RunConfig(n=4, trials=10, master_seed=0, threads=threads)
+
+
+def test_seeds_sizes_and_counts_must_be_integers():
+    # unchecked, a float seed draws its truncation's matrices and a float
+    # size fails only inside a trial or the oracle
+    for bad in (1.9, 2.0, True, np.int64(2)):
+        for make in (lambda: SeedStream(bad, 0), lambda: SeedStream(0, bad),
+                     lambda: RunConfig(n=bad, trials=4, master_seed=2),
+                     lambda: RunConfig(n=8, trials=bad, master_seed=2),
+                     lambda: RunConfig(n=8, trials=4, master_seed=bad),
+                     lambda: MomentQuery(bad, 2, 2), lambda: MomentQuery(4, bad, 2),
+                     lambda: MomentQuery(4, 2, bad)):
+            with pytest.raises(ValueError):
+                make()
 
 
 def test_clt_requires_poly_and_enough_trials():

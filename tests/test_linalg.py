@@ -35,9 +35,10 @@ def test_counter_identity_symmetric_involutive_range():
         assert np.abs(j @ j - np.eye(s)).max() <= 1e-14
 
 
-def test_counter_identity_rejects_nonpositive():
+def test_counter_identity_is_empty_at_zero_and_rejects_negative():
+    assert counter_identity(0).shape == (0, 0)
     with pytest.raises(ValueError):
-        counter_identity(0)
+        counter_identity(-1)
 
 
 def test_as_complex_matrix_rejects_nonfinite():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from centro_spectra.eigen import eigenvalues_centrosymmetric, eigenvalues_dense
 from centro_spectra.linalg import operator_norm_estimate
 from centro_spectra.reduction import (
+    _SQRT_HALF,
     block_reduce,
     build_orthogonal_q,
     split_blocks,
@@ -38,9 +39,16 @@ def test_q_orthogonal_n7():
     assert np.abs(q.T @ q - np.eye(7)).max() <= 1e-12
 
 
-def test_q_rejects_small_n():
-    with pytest.raises(ValueError):
-        build_orthogonal_q(1)
+def test_q_n1_is_the_centre_entry():
+    # the centre entry every odd Q has
+    assert np.array_equal(build_orthogonal_q(1), [[_SQRT_HALF * SQ2]])
+
+
+def test_q_entries_and_orthogonality_for_every_n():
+    for n in range(1, 41):
+        q = build_orthogonal_q(n)
+        assert np.isin(q, [0.0, _SQRT_HALF, -_SQRT_HALF, _SQRT_HALF * SQ2]).all()
+        assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-15
 
 
 def test_block_reduce_2x2_scalars():
@@ -68,14 +76,14 @@ def test_verify_reduction_identity_is_exact():
 
 
 def test_block_sizes_sum_to_n():
-    for n in range(2, 10):
+    for n in range(1, 10):
         t1, t2 = block_reduce(sample_centrosymmetric(n, stream=SeedStream(2, n)))
         assert t1.shape[0] + t2.shape[0] == n
         assert t1.shape[0] == (n + 1) // 2
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 40), stream=st.integers(0, 2**32))
+@given(n=st.integers(1, 40), stream=st.integers(0, 2**32))
 def test_reduction_residual_property(n, stream):
     cm = sample_centrosymmetric(n, stream=SeedStream(17, stream))
     assert verify_reduction(cm, *block_reduce(cm)) <= 1e-12
